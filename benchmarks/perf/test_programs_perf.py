@@ -50,7 +50,7 @@ REWRITE_FACTOR = 4.0
 
 def _check_report_shape(report: dict) -> None:
     assert report["suite"] == "programs"
-    assert report["bench_format"] == 3
+    assert report["bench_format"] == 4
     for entry in report["scales"]:
         native_cost = entry["native"]["cost"]
         assert native_cost > 0
@@ -88,9 +88,9 @@ def _check_report_shape(report: dict) -> None:
                 f"tier {tier['programs']}: jobs={row['jobs']} reports "
                 "diverged from the 1-worker run"
             )
-        # Cost-model columns (bench_format 3).  The *speedup* over the
-        # fixed order is asserted only in the perf-marked gate below;
-        # byte-identity between the orders is non-negotiable.
+        # Strategy-order column.  The *speedup* over the fixed order is
+        # asserted only in the perf-marked gate below; byte-identity
+        # between the orders is non-negotiable.
         order = tier["strategy_order"]
         assert order["fixed_seconds"] > 0
         assert order["cost_seconds"] > 0
@@ -98,14 +98,7 @@ def _check_report_shape(report: dict) -> None:
             f"tier {tier['programs']}: cost-ordered reports diverged "
             "from the fixed-order run"
         )
-        model = tier["cost_model"]
-        assert model["counters"]["predictions"] == tier["programs"]
-        assert model["reports_with_cost"] == tier["programs"], (
-            "every cascade report must carry a predicted cost"
-        )
-        for channel in model["accuracy"].values():
-            assert channel["samples"] > 0
-            assert channel["factor"] > 0
+        assert order["rewrite_skips"] >= 0
 
 
 def test_programs_smoke(tmp_path):
@@ -164,8 +157,7 @@ def test_cost_order_beats_fixed_order_on_pathological_tier():
         f"cost order only {order['speedup']:.2f}x faster than fixed "
         "order on the pathological 1k tier"
     )
-    model = tier["cost_model"]
-    assert model["counters"]["rewrite_skips"] > 0, (
+    assert order["rewrite_skips"] > 0, (
         "the pathological tier must exercise the rewrite-skip path"
     )
 

@@ -35,7 +35,6 @@ from repro.api import (
     default_catalog,
     load_rule_catalog,
     load_schema,
-    reset_deprecation_warnings,
     run_bench,
 )
 from repro.catalog.model import RuleCatalog
@@ -55,7 +54,7 @@ from repro.errors import (
 from repro.options import ConversionOptions
 from repro.parallel import ParallelExecutionError, ParallelExecutor, WorkerPool
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # -- facade (repro.api) -------------------------------------------
@@ -64,7 +63,6 @@ __all__ = [
     "convert_batch",
     "load_schema",
     "run_bench",
-    "reset_deprecation_warnings",
     # -- rule catalogs (repro.catalog) --------------------------------
     "RuleCatalog",
     "default_catalog",

@@ -43,8 +43,8 @@ class Finding:
 #: these is idiomatic, not pathological.
 _BENIGN_CODES = {"0000"}
 
-#: Shared with :mod:`repro.cost`, whose static profile walk must
-#: reproduce this finding byte-for-byte.
+#: The finding :mod:`repro.cost`'s rewrite-skip check reads; the
+#: cascade's synthesized refusal quotes it byte-for-byte.
 VERB_VARIABILITY_DETAIL = (
     "DML verb is a run-time expression; the request may change "
     "during execution (Section 3.2)"

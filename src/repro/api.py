@@ -19,8 +19,7 @@ facade collapses all of it to four entry points sharing one
 * :func:`run_bench` -- the perf suites behind ``repro bench``.
 
 The CLI routes through these functions, so the shell and the API
-cannot drift; the pre-facade signatures remain as thin shims that emit
-one :class:`DeprecationWarning` each.
+cannot drift.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro._deprecation import reset_deprecation_warnings
 from repro.batch import ProgressCallback
 from repro.core.report import BatchReport, ConversionReport
 from repro.core.supervisor import ConversionSupervisor
@@ -152,7 +150,7 @@ def build_cascade(
 
     ``data`` is an optional loader program (STOREs) that populates the
     source database before the restructuring is applied; the cascade's
-    strategy order and cost model come from ``options``.  This is the
+    strategy order comes from ``options``.  This is the
     exact construction ``repro convert`` (batch mode) and the
     conversion service share, so a served job and a shell run of the
     same artifacts validate against byte-identical probe databases.
@@ -173,7 +171,6 @@ def build_cascade(
         target_db,
         parsed_operator,
         strategy_order=options.strategy_order,
-        cost_model=options.cost_model,
         rule_catalog=options.rule_catalog,
     )
 
@@ -194,13 +191,12 @@ def convert_batch(
     serial run.  Batches below ``options.parallel_threshold`` pending
     programs auto-degrade to the in-process path.
 
-    Stage attempts are cost-ordered by default
-    (``options.strategy_order="cost"``): the cascade predicts each
-    program's access profile and skips the rewrite attempt only when
-    static analysis is guaranteed to refuse it.  Every report carries
-    ``report.cost`` with the predicted and measured plan costs;
-    ``options.strategy_order="fixed"`` restores the unconditional
-    rewrite-first order.
+    By default (``options.strategy_order="cost"``) the cascade skips
+    the rewrite attempt when static analysis proves the analyzer would
+    refuse the program (Section 3.2 verb variability), synthesizing the
+    identical refusal; ``options.strategy_order="fixed"`` restores the
+    unconditional rewrite-first order.  Reports and checkpoints are
+    byte-identical either way.
 
     Pass ``pool=`` (a :class:`~repro.parallel.WorkerPool` built once
     from the same cascade) to convert many batches on the same warm
@@ -283,6 +279,5 @@ __all__ = [
     "default_catalog",
     "load_rule_catalog",
     "load_schema",
-    "reset_deprecation_warnings",
     "run_bench",
 ]

@@ -39,7 +39,6 @@ import json
 from pathlib import Path
 from typing import Callable
 
-from repro._deprecation import warn_deprecated
 from repro.core.report import (
     BatchReport,
     ConversionReport,
@@ -54,7 +53,7 @@ from repro.observe.registry import named_counters
 from repro.observe.tracing import span
 from repro.options import ConversionOptions
 from repro.programs.ast import Program
-from repro.programs.interpreter import ProgramInputs, program_deadline
+from repro.programs.interpreter import program_deadline
 from repro.strategies.cascade import FallbackCascade
 
 CHECKPOINT_VERSION = 1
@@ -276,23 +275,6 @@ def run_batch(cascade: FallbackCascade, programs: list[Program],
     return batch
 
 
-def convert_batch(cascade: FallbackCascade, programs: list[Program],
-                  checkpoint: str | Path | None = None,
-                  resume: bool = False,
-                  inputs: ProgramInputs | None = None) -> BatchReport:
-    """Deprecated pre-facade signature; use :func:`run_batch` with a
-    :class:`~repro.options.ConversionOptions` (or the
-    :func:`repro.api.convert_batch` facade)."""
-    warn_deprecated(
-        "batch.convert_batch",
-        "repro.batch.convert_batch(checkpoint=..., resume=..., "
-        "inputs=...) is deprecated; use repro.api.convert_batch with "
-        "options=ConversionOptions(...) instead",
-    )
-    return run_batch(cascade, programs, ConversionOptions(
-        checkpoint=checkpoint, resume=resume, inputs=inputs))
-
-
 def quarantine_report(program_name: str, attempts: int,
                       plan: "FaultPlan | None" = None) -> ConversionReport:
     """The synthesized report for a poison program pulled from a batch.
@@ -387,13 +369,3 @@ def convert_one(cascade: FallbackCascade, program: Program,
             return report
         return outcome.report
 
-
-def _convert_isolated(cascade: FallbackCascade, program: Program,
-                      inputs: ProgramInputs | None) -> ConversionReport:
-    """Deprecated alias for :func:`convert_one` (pre-facade name)."""
-    warn_deprecated(
-        "batch._convert_isolated",
-        "repro.batch._convert_isolated is deprecated; use "
-        "repro.batch.convert_one with ConversionOptions(inputs=...)",
-    )
-    return convert_one(cascade, program, ConversionOptions(inputs=inputs))

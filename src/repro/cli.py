@@ -153,7 +153,6 @@ def _cmd_convert_batch(args, schema, operator, programs) -> int:
         chunk_size=args.chunk_size,
         parallel_threshold=args.parallel_threshold,
         strategy_order=args.strategy_order,
-        cost_model=args.cost_model,
         program_timeout=args.program_timeout,
         rule_catalog=_load_rules(args))
     cascade = api.build_cascade(schema, operator, data=args.data,
@@ -482,17 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "run in-process (default: max(2*jobs, 32))")
     sub.add_argument("--strategy-order", default="cost",
                      choices=["cost", "fixed"],
-                     help="batch mode: order cascade stage attempts by "
-                          "predicted cost, skipping rewrites that "
+                     help="batch mode: skip rewrite attempts that "
                           "static analysis is guaranteed to refuse "
                           "(default), or probe every stage in the "
                           "fixed rewrite-first order")
-    sub.add_argument("--cost-model", default="auto",
-                     choices=["auto", "default"],
-                     help="batch mode: cardinalities for cost "
-                          "prediction -- auto counts the source "
-                          "database's records, default uses a flat "
-                          "per-record estimate")
     sub.add_argument("--program-timeout", type=float, default=None,
                      help="batch mode: cooperative per-program watchdog "
                           "deadline in seconds; a program exceeding it "

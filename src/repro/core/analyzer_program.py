@@ -31,9 +31,9 @@ from repro.schema.model import Schema
 def blocking_failure(details: list[str] | tuple[str, ...]) -> str:
     """The analyzer's refusal message for blocking findings.
 
-    Shared with :mod:`repro.cost`, whose static prediction of "this
-    program will fall back" must synthesize the exact same failure
-    text the real analyzer raises.
+    Shared with the cascade, whose rewrite skip (the :mod:`repro.cost`
+    blocking check) must synthesize the exact same failure text the
+    real analyzer raises.
     """
     return ("program cannot be analyzed mechanically: "
             + "; ".join(details))

@@ -172,13 +172,6 @@ class ConversionReport:
     #: of the checkpoint summary -- a resumed batch must reproduce the
     #: original batch's journaled reports exactly.
     metrics: dict[str, int] | None = None
-    #: Cost-model verdict for this program when the cascade decided:
-    #: ``{"predicted": {strategy: cost | None}, "measured": cost |
-    #: None, "chosen_order": [strategy, ...]}``.  Observational like
-    #: ``metrics`` and left out of the checkpoint summary for the same
-    #: reason (cost-ordered and fixed-order runs must journal
-    #: byte-identical checkpoints).
-    cost: dict[str, Any] | None = None
 
     @property
     def converted(self) -> bool:

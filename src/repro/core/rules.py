@@ -19,8 +19,6 @@ partitioning) and a small set of parameterized combinators
 handles which change kind, with which analyst message templates, is
 declared by the shipped catalog ``repro/catalog/data/builtin.rules``
 and compiled back onto these classes by :mod:`repro.catalog.compile`.
-The pre-redesign module globals ``RULES`` and ``rule_for`` remain as
-warn-once deprecation shims over the compiled default catalog.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from repro.core.abstract import (
     AToOwner,
     AbstractProgram,
 )
-from repro._deprecation import warn_deprecated
 from repro.errors import UnconvertiblePattern
 from repro.programs import ast
 from repro.relational.sequel import (
@@ -955,37 +952,3 @@ def _rename_columns(query: SequelQuery, record: str, old: str,
     return replace(query, columns=columns, order_by=order_by,
                    where=tuple(fix_condition(c) for c in query.where))
 
-
-# ---------------------------------------------------------------------------
-# Deprecation shims: the pre-catalog registry globals
-# ---------------------------------------------------------------------------
-
-
-def __getattr__(name: str):
-    """PEP 562 shims: ``RULES`` and ``rule_for`` were module globals
-    before the rules-as-data redesign.  Both now resolve (warn-once)
-    to views over the compiled default catalog, so existing imports
-    keep selecting byte-identical rules."""
-    if name == "RULES":
-        warn_deprecated(
-            "repro.core.rules:RULES",
-            "repro.core.rules.RULES is deprecated; use "
-            "repro.catalog.default_rules().rules (the compiled "
-            "default catalog)",
-        )
-        from repro.catalog import default_rules
-
-        return default_rules().rules
-    if name == "rule_for":
-        warn_deprecated(
-            "repro.core.rules:rule_for",
-            "repro.core.rules.rule_for is deprecated; use "
-            "repro.catalog.default_rules().rule_for (the compiled "
-            "default catalog)",
-        )
-        from repro.catalog import default_rules
-
-        return default_rules().rule_for
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

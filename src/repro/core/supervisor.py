@@ -31,7 +31,6 @@ from repro.core.report import (
     STATUS_FAILED,
     STATUS_WARNINGS,
 )
-from repro._deprecation import warn_deprecated
 from repro.errors import (
     AnalysisError,
     ConversionError,
@@ -235,25 +234,15 @@ class ConversionSupervisor:
                 program=program_name, phase=phase,
             ) from exc
 
-    def convert_program(self, program: ast.Program,
-                        target_model: str | None = None, *,
+    def convert_program(self, program: ast.Program, *,
                         options: ConversionOptions | None = None
                         ) -> ConversionReport:
         """Convert one program, under a ``supervisor.convert`` span.
 
         The report comes back carrying the unified counter movement
-        observed during the conversion (``report.metrics``).  The
-        ``target_model=`` kwarg is a deprecated shim; pass
-        ``options=ConversionOptions(target_model=...)``."""
-        if target_model is not None:
-            warn_deprecated(
-                "ConversionSupervisor.convert_program:target_model",
-                "convert_program(program, target_model=...) is "
-                "deprecated; pass options="
-                "ConversionOptions(target_model=...) instead",
-            )
-        elif options is not None:
-            target_model = options.target_model
+        observed during the conversion (``report.metrics``)."""
+        target_model = options.target_model if options is not None \
+            else None
         registry = get_registry()
         before = registry.snapshot()
         # The span shares this wrapper's snapshots instead of taking
@@ -381,21 +370,10 @@ class ConversionSupervisor:
 
     # -- whole system ------------------------------------------------------------
 
-    def convert_system(self, programs: list[ast.Program],
-                       target_model: str | None = None, *,
+    def convert_system(self, programs: list[ast.Program], *,
                        options: ConversionOptions | None = None
                        ) -> BatchReport:
-        """Convert every program.  ``target_model=`` is a deprecated
-        shim; pass ``options=ConversionOptions(target_model=...)``."""
-        if target_model is not None:
-            warn_deprecated(
-                "ConversionSupervisor.convert_system:target_model",
-                "convert_system(programs, target_model=...) is "
-                "deprecated; pass options="
-                "ConversionOptions(target_model=...) instead",
-            )
-            options = (options or ConversionOptions()).replace(
-                target_model=target_model)
+        """Convert every program."""
         batch = BatchReport()
         for program in programs:
             batch.add(self.convert_program(program, options=options))

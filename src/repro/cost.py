@@ -1,389 +1,46 @@
-"""COBRA-style cost model for strategy selection (`ROADMAP` item).
+"""The cascade's rewrite-skip check.
 
-Three pieces, mirroring the Cobra framing of cost-based rewriting on
-top of the paper's Section 4 Optimizer box and Section 5.4
-access-path-selection discussion:
+The fallback cascade makes one static decision before it pays for a
+rewrite attempt: when the Program Analyzer is certain to refuse the
+program, the attempt is skipped and the refusal synthesized.  The
+analyzer refuses exactly on the Section 3.2 *blocking* findings (run-time
+verb variability), so the check is that detector's own verdict,
+computed without the other three pathology detectors or the
+template-match pipeline.
 
-* :func:`estimate_profile` -- a *static* access profile of a source
-  program: expected record touches, index probes, full scans, per-call
-  emulation mappings and bridge materializations, estimated from one
-  walk of the concrete AST weighted by
-  :class:`~repro.core.optimizer.CostModel` cardinalities;
-* :class:`CostPredictor` -- turns a profile into per-strategy
-  predicted costs (comparable to
-  :meth:`~repro.strategies.base.StrategyRun.cost`, the measured
-  access-path-length proxy) and decides whether the rewrite pipeline
-  is even *feasible* for the program.  The same walk collects the
-  Section 3.2 blocking findings (run-time verb variability), so the
-  prediction "this program will fall back" is exactly the
-  analyzer's own verdict, computed without paying for the other three
-  pathology detectors or the template-match pipeline;
-* :class:`CostCalibrator` -- learns measured/predicted calibration
-  factors from the registry deltas of prior conversions in the same
-  batch, making the model falsifiable (`bench --suite programs`
-  reports the accuracy).
+The check is a pure function of the program: it never depends on the
+databases or on batch history, so the cascade's reports stay
+byte-identical at every worker count and in either strategy order.
+:func:`~repro.analysis.variability.detect_verb_variability` walks the
+program in :func:`~repro.programs.ast.walk_program` order -- the order
+the analyzer reports its findings in -- so the synthesized refusal text
+is the analyzer's, byte for byte.
 
-The predictor is deliberately a pure function of (program, cost
-model, schema): predictions never depend on batch history, so the
-cascade's reports stay byte-identical at every worker count and in
-either strategy order.  Calibration refines *reporting* only.
+Cardinality-driven choices live elsewhere: the optimizer's calc-locate
+and hoist-locate passes read a
+:class:`~repro.core.optimizer.CostModel` of the target database.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.analysis.dataflow import is_runtime_constant
-from repro.analysis.variability import VERB_VARIABILITY_DETAIL
-from repro.core.optimizer import CostModel
+from repro.analysis.variability import detect_verb_variability
 from repro.programs import ast
-from repro.schema.model import Schema
-
-#: Expected branch probability for an IF arm; both arms are walked so
-#: the profile is an expectation, not a worst case.
-BRANCH_WEIGHT = 0.5
-
-#: Trip-count guess for loops whose bound is not a set scan (mirrors
-#: the dataflow convention that an assignment inside a loop "may
-#: repeat": anything >= 2 models repetition without a cardinality).
-DEFAULT_TRIP = 2.0
-
-
-@dataclass(frozen=True)
-class AccessProfile:
-    """Expected access counts for one program execution."""
-
-    records_read: float = 0.0
-    index_probes: float = 0.0
-    full_scans: float = 0.0
-    emulation_mappings: float = 0.0
-    bridge_materializations: float = 0.0
-    dml_calls: float = 0.0
-    #: Statements visited (static size, not executions).
-    statements: int = 0
-    #: Section 3.2 blocking findings (verb variability details, in
-    #: walk order) -- non-empty means the rewrite pipeline will refuse
-    #: the program mechanically.
-    blocking_details: tuple[str, ...] = ()
-
-    @property
-    def rewrite_feasible(self) -> bool:
-        return not self.blocking_details
-
-
-class _ProfileWalker:
-    """One pre-order walk accumulating the expected access counts.
-
-    Visits children in :func:`repro.programs.ast.children_of` order,
-    so the blocking details come out in the same order
-    :func:`repro.analysis.variability.detect_verb_variability`
-    reports them -- the synthesized analyzer failure message must be
-    byte-identical to the real one.
-    """
-
-    def __init__(self, program: ast.Program, model: CostModel,
-                 schema: Schema | None):
-        self.program = program
-        self.model = model
-        self.schema = schema
-        self.records_read = 0.0
-        self.index_probes = 0.0
-        self.full_scans = 0.0
-        self.mappings = 0.0
-        self.dml_calls = 0.0
-        self.statements = 0
-        self.blocking: list[str] = []
-        self.touched: set[str] = set()
-
-    def profile(self) -> AccessProfile:
-        self.visit(self.program.statements, 1.0)
-        for procedure in self.program.procedures:
-            self.visit(procedure.body, DEFAULT_TRIP)
-        materializations = sum(
-            self.model.count(name) for name in sorted(self.touched)
-        )
-        return AccessProfile(
-            records_read=self.records_read,
-            index_probes=self.index_probes,
-            full_scans=self.full_scans,
-            emulation_mappings=self.mappings,
-            bridge_materializations=float(materializations),
-            dml_calls=self.dml_calls,
-            statements=self.statements,
-            blocking_details=tuple(self.blocking),
-        )
-
-    # -- helpers ------------------------------------------------------
-
-    def _count(self, record_name: str) -> float:
-        return float(max(1, self.model.count(record_name)))
-
-    def _member_trip(self, set_name: str) -> float:
-        """Expected members per owner occurrence of a set."""
-        if self.schema is None:
-            return DEFAULT_TRIP
-        set_type = self.schema.sets.get(set_name)
-        if set_type is None:
-            return DEFAULT_TRIP
-        members = self._count(set_type.member)
-        owners = self._count(set_type.owner)
-        return max(1.0, members / owners)
-
-    def _loop_trip(self, body: tuple[ast.Stmt, ...]) -> float:
-        """A While advancing a set scan runs once per member; any
-        other loop gets the conservative repeat guess."""
-        for stmt in body:
-            if isinstance(stmt, (ast.NetFindNext, ast.NetFindNextUsing)):
-                return self._member_trip(stmt.set_name)
-        return DEFAULT_TRIP
-
-    def _calc_probe(self, record_name: str,
-                    supplied: tuple[str, ...]) -> bool:
-        """Would FIND ANY with these fields hit the CALC index?"""
-        if self.schema is None:
-            return bool(supplied)
-        record = self.schema.records.get(record_name)
-        if record is None or not record.calc_keys:
-            return False
-        return all(key in supplied for key in record.calc_keys)
-
-    # -- the walk -----------------------------------------------------
-
-    def visit(self, statements: tuple[ast.Stmt, ...],
-              weight: float) -> None:
-        for stmt in statements:
-            self.statements += 1
-            self._visit_one(stmt, weight)
-
-    def _visit_one(self, stmt: ast.Stmt, weight: float) -> None:
-        if isinstance(stmt, ast.DML_NODES):
-            self.dml_calls += weight
-            self.mappings += weight
-        if isinstance(stmt, ast.NetFindAny):
-            self.touched.add(stmt.record)
-            supplied = tuple(field_name for field_name, _ in stmt.using)
-            if self._calc_probe(stmt.record, supplied):
-                self.index_probes += weight
-                self.records_read += weight
-            else:
-                self.full_scans += weight
-                self.records_read += weight * self._count(stmt.record) / 2
-        elif isinstance(stmt, (ast.NetFindFirst, ast.NetFindNext,
-                               ast.NetFindNextUsing, ast.NetFindOwner)):
-            if self.schema is not None:
-                set_type = self.schema.sets.get(stmt.set_name)
-                if set_type is not None:
-                    self.touched.add(set_type.member)
-                    self.touched.add(set_type.owner)
-            self.records_read += weight
-        elif isinstance(stmt, (ast.NetGet, ast.NetFindCurrent)):
-            self.records_read += weight
-        elif isinstance(stmt, (ast.NetStore, ast.NetModify, ast.NetErase,
-                               ast.NetReconnect)):
-            self.touched.add(stmt.record)
-            self.records_read += weight
-        elif isinstance(stmt, ast.NetGenericCall):
-            self.touched.add(stmt.record)
-            self.records_read += weight
-            if not is_runtime_constant(self.program, stmt.verb):
-                self.blocking.append(VERB_VARIABILITY_DETAIL)
-        elif isinstance(stmt, (ast.HierGU, ast.HierGN, ast.HierGNP)):
-            self.records_read += weight
-        elif isinstance(stmt, ast.RelQuery):
-            self.full_scans += weight
-        elif isinstance(stmt, (ast.RelInsert, ast.RelDelete,
-                               ast.RelUpdate)):
-            self.touched.add(stmt.relation)
-            self.records_read += weight
-        elif isinstance(stmt, ast.If):
-            self.visit(stmt.then, weight * BRANCH_WEIGHT)
-            self.visit(stmt.orelse, weight * BRANCH_WEIGHT)
-            return
-        elif isinstance(stmt, ast.While):
-            self.visit(stmt.body, weight * self._loop_trip(stmt.body))
-            return
-        elif isinstance(stmt, ast.ForEachRow):
-            self.visit(stmt.body, weight * DEFAULT_TRIP)
-            return
-        for block in ast.children_of(stmt):
-            self.visit(block, weight)
-
-
-def estimate_profile(program: ast.Program, model: CostModel,
-                     schema: Schema | None = None) -> AccessProfile:
-    """Statically estimate a program's access profile."""
-    return _ProfileWalker(program, model, schema).profile()
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Per-strategy predicted costs for one program."""
-
-    profile: AccessProfile
-    #: Predicted access-path length per strategy; ``None`` marks the
-    #: strategy statically infeasible (rewrite on a blocking program).
-    costs: dict[str, float | None] = field(default_factory=dict)
-
-    @property
-    def blocking(self) -> tuple[str, ...]:
-        return self.profile.blocking_details
-
-    def cheapest_feasible(self) -> str | None:
-        ranked = sorted(
-            (cost, name) for name, cost in self.costs.items()
-            if cost is not None
-        )
-        return ranked[0][1] if ranked else None
-
-    def to_dict(self) -> dict[str, float | None]:
-        return dict(self.costs)
 
 
 class CostPredictor:
-    """Pure per-program cost prediction (no batch state)."""
+    """Stateless rewrite-feasibility check for the cascade."""
 
-    #: Fixed per-call overhead charged to the emulation mapping layer
-    #: (session dispatch + UWA shuffling per DML call).
-    EMULATION_CALL_FACTOR = 2.0
+    def predict(self, program: ast.Program) -> tuple[str, ...]:
+        """The program's blocking finding details, in walk order.
 
-    def __init__(self, model: CostModel,
-                 schema: Schema | None = None):
-        self.model = model
-        self.schema = schema
-
-    def predict(self, program: ast.Program) -> Prediction:
-        profile = estimate_profile(program, self.model, self.schema)
-        native = (profile.records_read + profile.index_probes
-                  + profile.full_scans)
-        costs: dict[str, float | None] = {
-            "rewrite": native if profile.rewrite_feasible else None,
-            "emulation": native + self.EMULATION_CALL_FACTOR
-            * profile.emulation_mappings,
-            "bridge": native + profile.bridge_materializations,
-        }
-        return Prediction(profile=profile, costs=costs)
-
-
-@dataclass
-class _Channel:
-    """Running calibration sums for one strategy (mergeable)."""
-
-    samples: int = 0
-    predicted_total: float = 0.0
-    measured_total: float = 0.0
-    abs_error_total: float = 0.0
-
-    def observe(self, predicted: float, measured: float) -> None:
-        self.samples += 1
-        self.predicted_total += predicted
-        self.measured_total += measured
-        if measured:
-            self.abs_error_total += abs(predicted - measured) / measured
-
-    def factor(self) -> float:
-        if not self.predicted_total:
-            return 1.0
-        return self.measured_total / self.predicted_total
-
-    def mean_abs_pct_error(self) -> float | None:
-        if not self.samples:
-            return None
-        return self.abs_error_total / self.samples
-
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "samples": self.samples,
-            "predicted_total": self.predicted_total,
-            "measured_total": self.measured_total,
-            "abs_error_total": self.abs_error_total,
-        }
-
-    def absorb(self, data: dict[str, float]) -> None:
-        self.samples += int(data.get("samples", 0))
-        self.predicted_total += data.get("predicted_total", 0.0)
-        self.measured_total += data.get("measured_total", 0.0)
-        self.abs_error_total += data.get("abs_error_total", 0.0)
-
-
-class CostCalibrator:
-    """Learns measured/predicted factors from a batch's conversions.
-
-    Calibration is *reporting-side* state: it never feeds back into
-    the per-program predictions (which must stay pure so reports are
-    byte-identical at any worker count), but it makes the model
-    falsifiable -- ``factor()`` near 1.0 means the static profile
-    tracks the measured registry deltas.
-
-    Worker processes each grow their own calibrator; the coordinator
-    absorbs their snapshots at flush so a parallel batch learns from
-    the whole corpus exactly like a serial one.
-    """
-
-    def __init__(self) -> None:
-        self._channels: dict[str, _Channel] = {}
-
-    def observe(self, strategy: str, predicted: float,
-                measured: float) -> None:
-        channel = self._channels.setdefault(strategy, _Channel())
-        channel.observe(predicted, measured)
-
-    @property
-    def samples(self) -> int:
-        return sum(c.samples for c in self._channels.values())
-
-    def factor(self, strategy: str) -> float:
-        channel = self._channels.get(strategy)
-        return channel.factor() if channel is not None else 1.0
-
-    def calibrate(self, strategy: str, predicted: float) -> float:
-        """A calibrated (reporting-side) cost estimate."""
-        return predicted * self.factor(strategy)
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        """A picklable merge-ready view (ships worker -> coordinator)."""
-        return {name: channel.to_dict()
-                for name, channel in sorted(self._channels.items())}
-
-    def absorb(self, snapshot: dict[str, dict[str, float]]) -> None:
-        for name, data in snapshot.items():
-            self._channels.setdefault(name, _Channel()).absorb(data)
-
-    def delta(self, before: dict[str, dict[str, float]]
-              ) -> dict[str, dict[str, float]]:
-        """Observations accumulated since a prior :meth:`snapshot`.
-
-        A warm pool worker ships only its per-batch delta at flush --
-        shipping the running totals again would double-count samples
-        the coordinator already absorbed in an earlier batch.
+        Non-empty means the rewrite pipeline will refuse the program
+        mechanically; the details are the text of that refusal.
         """
-        out: dict[str, dict[str, float]] = {}
-        for name, data in self.snapshot().items():
-            prior = before.get(name, {})
-            moved = {
-                key: value - prior.get(key, 0)
-                for key, value in data.items()
-            }
-            if any(moved.values()):
-                out[name] = moved
-        return out
-
-    def accuracy(self) -> dict[str, dict[str, float | None]]:
-        """Per-strategy accuracy summary for the bench report."""
-        return {
-            name: {
-                "samples": channel.samples,
-                "factor": channel.factor(),
-                "mean_abs_pct_error": channel.mean_abs_pct_error(),
-            }
-            for name, channel in sorted(self._channels.items())
-        }
+        return tuple(
+            finding.detail
+            for finding in detect_verb_variability(program)
+            if finding.blocking
+        )
 
 
-__all__ = [
-    "AccessProfile",
-    "CostCalibrator",
-    "CostModel",
-    "CostPredictor",
-    "Prediction",
-    "estimate_profile",
-]
+__all__ = ["CostPredictor"]

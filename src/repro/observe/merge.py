@@ -76,7 +76,7 @@ def merge_worker_trace(
 
     Returns the appended root span, or ``None`` for an empty forest
     (a worker with no assigned programs).  Extra ``attrs`` land on the
-    synthetic root (the executor stamps each worker's cost-model
+    synthetic root (the executor stamps each worker's ``cost.*``
     counters there, so a trace shows which workers skipped rewrites).
     """
     spans = [Span.from_dict(entry) for entry in span_dicts]

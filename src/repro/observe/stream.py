@@ -25,9 +25,9 @@ from typing import Any, Callable, Iterator
 from repro.observe.tracing import Span, Tracer
 
 #: Counter namespaces a :func:`span_event` carries: the self-healing
-#: supervision counters and the COBRA cost-model counters, the two
-#: bundles a conversion service's clients act on (respawn storms,
-#: quarantine decisions, rewrite-skip rates).
+#: supervision counters and the cascade's ``cost.rewrite_skips``
+#: counter, the two bundles a conversion service's clients act on
+#: (respawn storms, quarantine decisions, rewrite-skip rates).
 EVENT_COUNTER_PREFIXES = ("supervision.", "cost.")
 
 

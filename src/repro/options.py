@@ -1,12 +1,10 @@
 """The one options dataclass behind the :mod:`repro.api` facade.
 
-Before the facade, each subsystem grew its own kwargs: the supervisor
-took ``target_model=``, the cascade took ``inputs=``, the batch runner
-took ``checkpoint=``/``resume=``/``inputs=``, and the CLI threaded yet
-another ad-hoc bundle through all three.  :class:`ConversionOptions`
-is the union of those knobs in one frozen, picklable value that every
-public entry point accepts -- picklable matters, because the parallel
-executor ships the options to its worker processes verbatim.
+:class:`ConversionOptions` holds every knob of the supervisor, the
+cascade, the batch runner and the CLI in one frozen, picklable value
+that every public entry point accepts -- picklable matters, because
+the parallel executor ships the options to its worker processes
+verbatim.
 """
 
 from __future__ import annotations
@@ -74,16 +72,13 @@ class ConversionOptions:
     order: tuple[str, ...] = DEFAULT_STAGE_ORDER
     #: Terminal/file inputs replayed by every validation probe.
     inputs: "ProgramInputs | None" = None
-    #: How the cascade decides which strategy to probe first:
-    #: ``"cost"`` consults the :mod:`repro.cost` predictor (skipping
-    #: the rewrite attempt only when its static analysis proves the
-    #: analyzer would refuse); ``"fixed"`` always probes ``order`` as
-    #: written.  Validation is never skipped in either mode.
+    #: Whether the cascade may skip a rewrite attempt: ``"cost"`` runs
+    #: the :mod:`repro.cost` blocking check and skips the attempt only
+    #: when static analysis proves the analyzer would refuse (the
+    #: refusal is synthesized byte-identically); ``"fixed"`` always
+    #: probes ``order`` as written.  Validation is never skipped in
+    #: either mode.
     strategy_order: str = "cost"
-    #: Cardinality source for cost prediction: ``"auto"`` counts the
-    #: source database's records; ``"default"`` uses the flat
-    #: default-cardinality model.
-    cost_model: str = "auto"
 
     # -- batch knobs --------------------------------------------------
     #: Worker process count for batch conversion.  1 is the in-process

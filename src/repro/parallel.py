@@ -168,7 +168,6 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
     summaries: list[dict] = []
     tracer: Tracer | None = None
     before: dict[str, int] = {}
-    calibration_before: dict[str, dict[str, float]] = {}
     clock_base = 0.0
     active = False
 
@@ -187,7 +186,6 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
                 remove_durable(journal.path)
             summaries = []
             before = registry.snapshot()
-            calibration_before = cascade.calibrator.snapshot()
             tracer = Tracer() if trace else None
             if tracer is not None:
                 tracer.__enter__()
@@ -196,7 +194,7 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
             continue
         if kind == "flush":
             if not active:
-                result_queue.put(("flush", worker_id, {}, [], 0.0, {}))
+                result_queue.put(("flush", worker_id, {}, [], 0.0))
                 continue
             if tracer is not None:
                 tracer.__exit__(None, None, None)
@@ -210,7 +208,6 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
                     registry_delta(before, registry.snapshot()),
                     spans,
                     clock_base,
-                    cascade.calibrator.delta(calibration_before),
                 )
             )
             tracer = None
@@ -222,17 +219,15 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
             programs: list[Program] = pickle.loads(programs_blob)
             chunk_summaries: list[dict] = []
             chunk_metrics: dict[str, dict[str, int]] = {}
-            chunk_costs: dict[str, dict] = {}
             for program in programs:
                 with span("batch.program", program=program.name):
                     report = convert_one(cascade, program, options)
                 chunk_summaries.append(report.to_summary())
-                # A fault that escapes the cascade leaves metrics/cost
-                # as None (convert_one's belt-and-braces path); ship
-                # that as-is so the merged report matches serial.
+                # A fault that escapes the cascade leaves metrics as
+                # None (convert_one's belt-and-braces path); ship that
+                # as-is so the merged report matches serial.
                 if report.metrics is not None:
                     chunk_metrics[program.name] = dict(report.metrics)
-                chunk_costs[program.name] = report.cost
             summaries.extend(chunk_summaries)
             if journal is not None:
                 journal.write_summaries(names, summaries)
@@ -242,8 +237,7 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
             )
             continue
         result_queue.put(
-            ("chunk", worker_id, chunk_id, chunk_summaries, chunk_metrics,
-             chunk_costs)
+            ("chunk", worker_id, chunk_id, chunk_summaries, chunk_metrics)
         )
 
 
@@ -770,7 +764,7 @@ class ParallelExecutor:
         for worker_id in pool.active_ids():
             fill(worker_id)
 
-        chunk_results: list[tuple[list[dict], dict, dict]] = []
+        chunk_results: list[tuple[list[dict], dict]] = []
         while remaining:
             message = self._receive(pool)
             kind = message[0]
@@ -780,8 +774,8 @@ class ParallelExecutor:
                 for worker_id in pool.active_ids():
                     fill(worker_id)
             elif kind == "chunk":
-                _, worker_id, chunk_id, summaries, metrics, costs = message
-                chunk_results.append((summaries, metrics, costs))
+                _, worker_id, chunk_id, summaries, metrics = message
+                chunk_results.append((summaries, metrics))
                 unproductive_respawns = 0
                 dealt = ledger.get(worker_id)
                 if dealt is not None:
@@ -798,7 +792,6 @@ class ParallelExecutor:
                         report = ConversionReport.from_summary(summary)
                         raw = metrics.get(report.program_name)
                         report.metrics = dict(raw) if raw is not None else None
-                        report.cost = costs.get(report.program_name)
                         notify(report)
                 fill(worker_id)
             elif kind == "flush":  # pragma: no cover - defensive
@@ -811,7 +804,7 @@ class ParallelExecutor:
                 )
 
         # Every program is accounted for; flush the survivors for
-        # their observability deltas (metrics, spans, calibration).
+        # their observability deltas (metrics, spans).
         expected = set(pool.active_ids())
         for worker_id in sorted(expected):
             pool.flush(worker_id)
@@ -825,7 +818,7 @@ class ParallelExecutor:
             elif kind == "chunk":
                 # A re-dealt duplicate whose original result raced the
                 # end of the batch; keep it -- the merge dedups.
-                chunk_results.append((message[3], message[4], message[5]))
+                chunk_results.append((message[3], message[4]))
             elif kind == "dead":
                 for worker_id in message[1]:
                     pool.retire(worker_id)
@@ -936,7 +929,7 @@ class ParallelExecutor:
 
     def _merge(
         self,
-        chunk_results: list[tuple[list[dict], dict, dict]],
+        chunk_results: list[tuple[list[dict], dict]],
         flushes: list[tuple],
         names: list[str],
         done: dict[str, ConversionReport],
@@ -947,21 +940,17 @@ class ParallelExecutor:
         by_name: dict[str, ConversionReport] = dict(done)
         if quarantined:
             by_name.update(quarantined)
-        for summaries, metrics, costs in chunk_results:
+        for summaries, metrics in chunk_results:
             for summary in summaries:
                 report = ConversionReport.from_summary(summary)
                 raw_metrics = metrics.get(report.program_name)
                 report.metrics = (dict(raw_metrics)
                                   if raw_metrics is not None else None)
-                report.cost = costs.get(report.program_name)
                 by_name[report.program_name] = report
-        for _, worker_id, delta, spans, clock_base, calibration in flushes:
+        for _, worker_id, delta, spans, clock_base in flushes:
             self._absorb_registry(delta)
             self._absorb_trace(worker_id, spans, clock_base, coordinator_base,
                                delta)
-            # Fold the worker's calibration samples into the seed
-            # cascade, exactly as a serial run would have observed them.
-            self.cascade.calibrator.absorb(calibration)
 
         missing = [name for name in names if name not in by_name]
         if missing:

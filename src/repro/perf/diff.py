@@ -17,9 +17,8 @@ reports structurally:
 
 Thresholds: a ``*_seconds`` value warns when it grows past 30% (and
 the old value is large enough to be meaningful), a ``speedup`` warns
-when it loses more than 30%, a ``cost``/``overhead_vs_native``/
-``mean_abs_pct_error`` (cost-model accuracy) warns past 10% (operation
-counts are deterministic, so the band is tight),
+when it loses more than 30%, a ``cost``/``overhead_vs_native`` warns
+past 10% (operation counts are deterministic, so the band is tight),
 and a True boolean (``traces_match``, ``traces_identical``) turning
 False warns.  The ``trace_summary`` subtree is observational (its row
 set depends on sampling and scheduling) and is skipped entirely.
@@ -37,7 +36,7 @@ from typing import Any
 CONFIG_KEYS = frozenset({
     "suite", "schema", "operator", "seed", "rows", "statements",
     "programs", "employees_per_division", "chunk_size", "pathology_rate",
-    "cost_model", "strategy_order",
+    "strategy_order",
 })
 
 #: Observational subtrees excluded from the diff.
@@ -176,7 +175,7 @@ def _compare_number(key: str, old: float, new: float, path: str,
                 f"{path}: speedup fell {old:.2f}x -> {new:.2f}x"
             )
         diff.rows.append((path, old, new, status))
-    elif key in ("cost", "overhead_vs_native", "mean_abs_pct_error"):
+    elif key in ("cost", "overhead_vs_native"):
         status = "ok"
         if new > old * COST_REGRESSION_RATIO:
             status = "costlier"

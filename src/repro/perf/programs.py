@@ -77,7 +77,9 @@ SMOKE_INVENTORY_TIERS = (32,)
 #: 3: each tier row gained ``strategy_order`` (cost-ordered vs
 #: fixed-order cascade wall-clock and time saved) and ``cost_model``
 #: (predictor counters and calibrated accuracy) columns.
-BENCH_FORMAT = 3
+#: 4: the ``cost_model`` column and config key are gone; the
+#: ``strategy_order`` column carries the rewrite-skip count.
+BENCH_FORMAT = 4
 
 
 #: Corpus kinds whose behaviour is preserved across all three
@@ -328,8 +330,7 @@ def measure_parallel_scaling(jobs_curve: tuple[int, ...] = FULL_JOBS_CURVE,
     Each tier also runs once serially in ``strategy_order="fixed"``
     mode; the tier row's ``strategy_order`` column records the
     wall-clock saved by the cost-ordered cascade (which must produce
-    byte-identical reports), and ``cost_model`` records the predictor
-    counters and the calibrated predicted-vs-measured accuracy.
+    byte-identical reports) and how many rewrite attempts it skipped.
     """
     import json as _json
 
@@ -368,7 +369,6 @@ def measure_parallel_scaling(jobs_curve: tuple[int, ...] = FULL_JOBS_CURVE,
         baseline_seconds: float | None = None
         baseline_reports: str | None = None
         cost_cascade = None
-        cost_batch = None
         for jobs in jobs_curve:
             cascade = inventory_cascade(spec)
             resolved_chunk = (
@@ -384,7 +384,7 @@ def measure_parallel_scaling(jobs_curve: tuple[int, ...] = FULL_JOBS_CURVE,
                 [report.to_summary() for report in batch.reports])
             if baseline_seconds is None:
                 baseline_seconds, baseline_reports = seconds, rendered
-                cost_cascade, cost_batch = cascade, batch
+                cost_cascade = cascade
             rows.append({
                 "jobs": jobs,
                 "chunk_size": resolved_chunk,
@@ -393,9 +393,6 @@ def measure_parallel_scaling(jobs_curve: tuple[int, ...] = FULL_JOBS_CURVE,
                                       if seconds > 0 else float("inf")),
                 "reports_identical": rendered == baseline_reports,
             })
-        reports_with_cost = sum(
-            1 for report in cost_batch.reports
-            if report.cost and report.cost.get("predicted"))
         tier_rows.append({
             "programs": tier,
             "jobs": rows,
@@ -408,11 +405,8 @@ def measure_parallel_scaling(jobs_curve: tuple[int, ...] = FULL_JOBS_CURVE,
                     100.0 * (1.0 - baseline_seconds / fixed_seconds)
                     if fixed_seconds else 0.0),
                 "reports_identical": fixed_rendered == baseline_reports,
-            },
-            "cost_model": {
-                "counters": cost_cascade.cost_counters.snapshot(),
-                "accuracy": cost_cascade.calibrator.accuracy(),
-                "reports_with_cost": reports_with_cost,
+                "rewrite_skips": cost_cascade.cost_counters.get(
+                    "rewrite_skips"),
             },
         })
     return {
@@ -421,7 +415,6 @@ def measure_parallel_scaling(jobs_curve: tuple[int, ...] = FULL_JOBS_CURVE,
         # the per-tier reference): a mode change makes reports
         # incomparable, so bench --diff treats these as config keys.
         "strategy_order": "cost",
-        "cost_model": "auto",
         "tiers": tier_rows,
     }
 
@@ -534,18 +527,7 @@ def summarize_programs(report: dict[str, Any]) -> str:
                     f"cost {order['cost_seconds']:.3f}s "
                     f"({order['speedup']:.2f}x, "
                     f"{order['time_saved_pct']:.0f}% saved, "
+                    f"{order['rewrite_skips']} rewrite skips, "
                     f"reports {identical})"
-                )
-            model = tier.get("cost_model")
-            if model:
-                parts = ", ".join(
-                    f"{name} x{channel['factor']:.2f} "
-                    f"({channel['samples']} samples)"
-                    for name, channel in model["accuracy"].items()
-                )
-                lines.append(
-                    f"cost model at {tier['programs']} programs: "
-                    f"{model['counters'].get('rewrite_skips', 0)} rewrite "
-                    f"skips; calibration factors {parts or 'n/a'}"
                 )
     return "\n".join(lines)

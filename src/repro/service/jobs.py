@@ -80,7 +80,6 @@ SUBMISSION_OPTIONS: dict[str, tuple[type, ...]] = {
     "chunk_size": (int,),
     "parallel_threshold": (int,),
     "strategy_order": (str,),
-    "cost_model": (str,),
     "program_timeout": (int, float),
 }
 
@@ -142,8 +141,6 @@ def validate_submission(payload: Any) -> dict[str, Any]:
             raise SubmissionError(f"option {key!r} must be of type {type_names}")
     if options.get("strategy_order") not in (None, "cost", "fixed"):
         raise SubmissionError("option 'strategy_order' must be 'cost' or 'fixed'")
-    if options.get("cost_model") not in (None, "auto", "default"):
-        raise SubmissionError("option 'cost_model' must be 'auto' or 'default'")
 
     try:
         api.load_schema(payload["ddl"])
@@ -372,7 +369,6 @@ def pool_key(submission: dict[str, Any]) -> str:
         "inputs": submission.get("inputs", []),
         "jobs": options.get("jobs"),
         "strategy_order": options.get("strategy_order", "cost"),
-        "cost_model": options.get("cost_model", "auto"),
         "program_timeout": options.get("program_timeout"),
     }
     blob = json.dumps(relevant, sort_keys=True).encode("utf-8")
@@ -595,7 +591,6 @@ class JobManager:
             chunk_size=submitted.get("chunk_size"),
             parallel_threshold=submitted.get("parallel_threshold"),
             strategy_order=submitted.get("strategy_order", "cost"),
-            cost_model=submitted.get("cost_model", "auto"),
             program_timeout=submitted.get("program_timeout"),
         )
 
@@ -637,9 +632,9 @@ class JobManager:
         and the restructuring -- the dominant per-job cost for a
         stream of jobs over one application system.  Probes roll every
         mutation back inside savepoints, so a reused cascade's probe
-        databases are byte-identical to freshly built ones; only
-        batch-level calibration counters accumulate, and those never
-        reach report or checkpoint bytes."""
+        databases are byte-identical to freshly built ones, and the
+        cascade keeps no per-batch state that reaches report or
+        checkpoint bytes."""
         submission = job.submission
         if not self.warm_pools:
             return api.build_cascade(

@@ -13,17 +13,17 @@ Every probe runs inside an engine savepoint and is rolled back, so
 validation leaves both databases byte-identical to their pre-call
 state no matter which stages fault.
 
-With ``strategy_order="cost"`` (the default) the cascade consults the
-:mod:`repro.cost` predictor before paying for a rewrite attempt.  The
-prediction is *sound pruning only*: the rewrite stage is skipped
-exactly when the static profile proves the program analyzer would
-refuse it (Section 3.2 verb variability; the analyzer's refusal text
-is synthesized byte-for-byte, and the Conversion Analyst is asked the
+With ``strategy_order="cost"`` (the default) the cascade runs the
+:mod:`repro.cost` blocking check before paying for a rewrite attempt.
+The check is *sound pruning only*: the rewrite stage is skipped
+exactly when static analysis proves the program analyzer would refuse
+it (Section 3.2 verb variability; the analyzer's refusal text is
+synthesized byte-for-byte, and the Conversion Analyst is asked the
 same ``pin-verb`` question at the same point, so scripted analysts see
-an identical transcript).  Validation of whichever strategy does run
-is never skipped, and ``strategy_order="fixed"`` restores the
-unconditional rewrite-first probe.  Every report carries
-``report.cost = {predicted, measured, chosen_order}``.
+an identical transcript).  Each skip bumps the ``cost.rewrite_skips``
+counter.  Validation of whichever strategy does run is never skipped,
+and ``strategy_order="fixed"`` restores the unconditional
+rewrite-first probe.
 
 Stage outcomes land in :class:`~repro.core.report.ConversionReport`:
 
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._deprecation import warn_deprecated
 from repro.core.analyzer_db import ChangeCatalog, ConversionAnalyzer
 from repro.core.analyzer_program import blocking_failure
 from repro.core.optimizer import CostModel
@@ -52,7 +51,7 @@ from repro.core.report import (
     StageOutcome,
 )
 from repro.core.supervisor import Analyst, pin_verb_question
-from repro.cost import CostCalibrator, CostPredictor, Prediction
+from repro.cost import CostPredictor
 from repro.errors import AnalysisError, PipelineFault
 from repro.network.database import NetworkDatabase
 from repro.observe.registry import NamedCounters, get_registry, registry_delta
@@ -71,7 +70,6 @@ from repro.strategies.rewrite import RewriteStrategy
 DEFAULT_ORDER = ("rewrite", "emulation", "bridge")
 
 STRATEGY_ORDERS = ("cost", "fixed")
-COST_MODEL_MODES = ("auto", "default")
 
 
 @dataclass
@@ -109,7 +107,6 @@ class FallbackCascade:
                  catalog: ChangeCatalog | None = None,
                  order: tuple[str, ...] = DEFAULT_ORDER,
                  strategy_order: str = "cost",
-                 cost_model: str = "auto",
                  rule_catalog=None):
         unknown = set(order) - set(DEFAULT_ORDER)
         if unknown:
@@ -119,11 +116,6 @@ class FallbackCascade:
                 f"strategy_order must be one of {STRATEGY_ORDERS}, "
                 f"got {strategy_order!r}"
             )
-        if cost_model not in COST_MODEL_MODES:
-            raise ValueError(
-                f"cost_model must be one of {COST_MODEL_MODES}, "
-                f"got {cost_model!r}"
-            )
         self.source_db = source_db
         self.target_db = target_db
         self.operator = operator
@@ -132,26 +124,16 @@ class FallbackCascade:
             ConversionAnalyzer().analyze_operator(source_db.schema, operator)
         self.order = tuple(order)
         self.strategy_order = strategy_order
-        self.cost_model_mode = cost_model
         #: Rule catalog for the rewrite stage's supervisor (``None``:
         #: the builtin catalog).  Distinct from ``self.catalog``, the
         #: ChangeCatalog of classified schema changes.
         self.rule_catalog = rule_catalog
-        # Cardinality models are taken once, eagerly: probes roll back
-        # every mutation, so the counts never drift during a batch and
-        # worker processes rehydrating this pickled cascade predict
-        # exactly like the serial coordinator.
-        if cost_model == "auto":
-            source_model = CostModel.from_database(source_db)
-            target_model = CostModel.from_database(target_db)
-        else:
-            source_model = CostModel({})
-            target_model = CostModel({})
-        self.target_cost_model = target_model
-        self.predictor = CostPredictor(source_model, source_db.schema)
-        #: Batch-level calibration state (reporting only; never feeds
-        #: back into per-program predictions, which must stay pure).
-        self.calibrator = CostCalibrator()
+        # The optimizer's cardinality model is taken once, eagerly:
+        # probes roll back every mutation, so the counts never drift
+        # during a batch and worker processes rehydrating this pickled
+        # cascade optimize exactly like the serial coordinator.
+        self.target_cost_model = CostModel.from_database(target_db)
+        self.predictor = CostPredictor()
         self.cost_counters = NamedCounters("cost")
 
     # -- strategy construction ---------------------------------------
@@ -202,25 +184,12 @@ class FallbackCascade:
 
     # -- the cascade ---------------------------------------------------
 
-    def convert(self, program: Program,
-                inputs: ProgramInputs | None = None, *,
+    def convert(self, program: Program, *,
                 options: ConversionOptions | None = None
                 ) -> CascadeOutcome:
         """Run the cascade under a ``cascade.convert`` span; the report
-        comes back with the unified counter movement attached.
-
-        ``inputs=`` is a deprecated shim; pass
-        ``options=ConversionOptions(inputs=...)``.
-        """
-        if inputs is not None:
-            warn_deprecated(
-                "FallbackCascade.convert:inputs",
-                "FallbackCascade.convert(program, inputs=...) is "
-                "deprecated; pass options=ConversionOptions(inputs=...) "
-                "instead",
-            )
-        elif options is not None:
-            inputs = options.inputs
+        comes back with the unified counter movement attached."""
+        inputs = options.inputs if options is not None else None
         strategy_order = self.strategy_order
         if options is not None and options.strategy_order is not None:
             if options.strategy_order not in STRATEGY_ORDERS:
@@ -236,43 +205,18 @@ class FallbackCascade:
         # its own pair (capture_metrics=False, then stamped below).
         with span("cascade.convert", capture_metrics=False,
                   program=program.name) as convert_span:
-            prediction = self.predictor.predict(program)
-            self.cost_counters.bump("predictions")
-            outcome = self._convert(program, inputs, prediction, use_cost)
-            self._observe_cost(outcome, prediction)
+            blocking = self.predictor.predict(program) if use_cost else ()
+            outcome = self._convert(program, inputs, blocking)
         after = registry.snapshot()
         outcome.report.metrics = registry_delta(before, after)
-        skipped = (use_cost and bool(prediction.blocking)
-                   and "rewrite" in self.order)
-        outcome.report.cost = {
-            "predicted": prediction.to_dict(),
-            "measured": outcome.run.cost() if outcome.run else None,
-            "chosen_order": [
-                name for name in self.order
-                if not (name == "rewrite" and skipped)
-            ],
-        }
         if convert_span:
             convert_span.metrics = {k: v for k, v in after.items() if v}
             convert_span.metrics_delta = dict(outcome.report.metrics)
         return outcome
 
-    def _observe_cost(self, outcome: CascadeOutcome,
-                      prediction: Prediction) -> None:
-        """Feed the winning run's measured cost into the calibrator."""
-        if outcome.run is None or not outcome.report.strategy:
-            return
-        predicted = prediction.costs.get(outcome.report.strategy)
-        if predicted is None:
-            return
-        self.calibrator.observe(outcome.report.strategy, predicted,
-                                outcome.run.cost())
-        self.cost_counters.bump("calibration_samples")
-
     def _convert(self, program: Program,
                  inputs: ProgramInputs | None = None,
-                 prediction: Prediction | None = None,
-                 use_cost: bool = True) -> CascadeOutcome:
+                 blocking: tuple[str, ...] = ()) -> CascadeOutcome:
         inputs = inputs or ProgramInputs()
         reference = self.reference_trace(program, inputs)
 
@@ -283,13 +227,12 @@ class FallbackCascade:
 
         for name in self.order:
             with span(f"cascade.{name}", program=program.name) as stage_span:
-                if (name == "rewrite" and use_cost
-                        and prediction is not None and prediction.blocking):
-                    # The static profile proves the analyzer would
-                    # refuse this program; synthesize its exact
-                    # refusal instead of paying for the attempt.
+                if name == "rewrite" and blocking:
+                    # Static analysis proves the analyzer would refuse
+                    # this program; synthesize its exact refusal
+                    # instead of paying for the attempt.
                     rewrite_report = self._synthesize_rewrite_refusal(
-                        program, prediction)
+                        program, blocking)
                     last_detail = rewrite_report.failure or "unconverted"
                     stages.append(StageOutcome(name, "unconverted",
                                                last_detail))
@@ -339,7 +282,7 @@ class FallbackCascade:
                           last_detail)
 
     def _synthesize_rewrite_refusal(self, program: Program,
-                                    prediction: Prediction
+                                    blocking: tuple[str, ...]
                                     ) -> ConversionReport:
         """The report the rewrite attempt would have produced.
 
@@ -353,7 +296,7 @@ class FallbackCascade:
         # The supervisor's _phase wrapper annotates the raised error
         # with program/phase context before str()-ing it into the
         # report; build the same exception so the text cannot drift.
-        failure = str(AnalysisError(blocking_failure(prediction.blocking),
+        failure = str(AnalysisError(blocking_failure(blocking),
                                     program=program.name, phase="analyze"))
         report = ConversionReport(program.name, STATUS_FAILED)
         question = pin_verb_question(program.name, failure)
@@ -363,19 +306,9 @@ class FallbackCascade:
         report.failure = failure
         return report
 
-    def convert_system(self, programs: list[Program],
-                       inputs: ProgramInputs | None = None, *,
+    def convert_system(self, programs: list[Program], *,
                        options: ConversionOptions | None = None
                        ) -> list[CascadeOutcome]:
-        if inputs is not None:
-            warn_deprecated(
-                "FallbackCascade.convert_system:inputs",
-                "FallbackCascade.convert_system(programs, inputs=...) is "
-                "deprecated; pass options=ConversionOptions(inputs=...) "
-                "instead",
-            )
-            options = (options or ConversionOptions()).replace(
-                inputs=inputs)
         return [self.convert(program, options=options)
                 for program in programs]
 

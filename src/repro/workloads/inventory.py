@@ -416,8 +416,7 @@ def inventory_cascade(spec: InventorySpec | None = None,
                       **cascade_kwargs):
     """A ready-to-run cascade: inventory database through the Figure
     4.4 DEPT interposition (imports deferred to stay cycle-free).
-    Extra keyword arguments (``strategy_order=``, ``cost_model=``)
-    forward to the :class:`FallbackCascade` constructor."""
+    Extra keyword arguments (e.g. ``strategy_order=``) forward to the :class:`FallbackCascade` constructor."""
     from repro.restructure import restructure_database
     from repro.strategies.cascade import FallbackCascade
 

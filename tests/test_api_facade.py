@@ -1,20 +1,15 @@
-"""The repro.api facade, ConversionOptions, and the deprecation shims.
+"""The repro.api facade and ConversionOptions.
 
-Two invariants matter here: the facade is *the same pipeline* (its
-reports are identical to the pre-facade entry points' on the E2
-corpus), and the old signatures still work but warn -- exactly once
-per shim per process, so a thousand-program batch over a legacy call
-site does not print a thousand identical warnings.
+The invariant that matters here: the facade is *the same pipeline* --
+its reports are identical to the supervisor's and the batch runner's
+on the E2 corpus.
 """
-
-import warnings
 
 import pytest
 
 import repro
 from repro import api
-from repro._deprecation import reset_deprecation_warnings
-from repro.batch import convert_batch, run_batch
+from repro.batch import run_batch
 from repro.core.supervisor import ConversionSupervisor
 from repro.options import (
     ConversionOptions,
@@ -42,14 +37,6 @@ def report_program(name="REPORT"):
         ]),
         b.display("END"),
     ])
-
-
-@pytest.fixture
-def fresh_shims():
-    """Each shim test starts from a clean warn-once slate."""
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
 
 
 def _cascade(seed=42):
@@ -157,88 +144,6 @@ class TestFacadeParity:
         report = api.convert(FIGURE_4_3_DDL, FIG44_SPEC, report_program())
         assert cli_out == render_program(report.target_program)
 
-    def test_run_bench_rejects_unknown_suite(self):
-        with pytest.raises(ValueError, match="unknown bench suite"):
-            api.run_bench("nonsense")
-
-
-class TestCuratedNamespace:
-    def test_all_names_resolve(self):
-        for name in repro.__all__:
-            assert getattr(repro, name, None) is not None, name
-
-    def test_facade_exposed_at_top_level(self):
-        assert repro.convert is api.convert
-        assert repro.convert_batch is api.convert_batch
-        assert repro.ConversionOptions is ConversionOptions
-
-
-@pytest.mark.deprecated_api
-@pytest.mark.filterwarnings("always::DeprecationWarning")
-class TestDeprecationShims:
-    def _assert_warns_once(self, call, match):
-        with pytest.warns(DeprecationWarning, match=match):
-            call()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            call()
-        leaked = [w for w in caught
-                  if issubclass(w.category, DeprecationWarning)]
-        assert not leaked, "shim must warn exactly once per process"
-
-    def test_convert_program_target_model_warns_once(self, fresh_shims):
-        schema = company.figure_42_schema()
-        operator = company.figure_44_operator()
-        supervisor = ConversionSupervisor(schema, operator)
-        self._assert_warns_once(
-            lambda: supervisor.convert_program(report_program(),
-                                               "relational"),
-            match="target_model")
-
-    def test_convert_system_target_model_warns_once(self, fresh_shims):
-        schema = company.figure_42_schema()
-        operator = company.figure_44_operator()
-        supervisor = ConversionSupervisor(schema, operator)
-        self._assert_warns_once(
-            lambda: supervisor.convert_system([report_program()],
-                                              "relational"),
-            match="target_model")
-
-    def test_cascade_inputs_warns_once(self, fresh_shims):
-        cascade = _cascade()
-        self._assert_warns_once(
-            lambda: cascade.convert(report_program(),
-                                    ProgramInputs()),
-            match="inputs")
-
-    def test_convert_batch_shim_warns_once_and_matches(self, fresh_shims,
-                                                       tmp_path):
-        programs = [report_program("P1")]
-        with pytest.warns(DeprecationWarning, match="convert_batch"):
-            old = convert_batch(_cascade(), programs,
-                                checkpoint=tmp_path / "old.json")
-        new = run_batch(_cascade(), programs,
-                        ConversionOptions(checkpoint=tmp_path / "new.json"))
-        assert [r.to_summary() for r in old.reports] == \
-            [r.to_summary() for r in new.reports]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            convert_batch(_cascade(), programs)
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_shim_target_model_equals_options_path(self, fresh_shims):
-        schema = company.figure_42_schema()
-        operator = company.figure_44_operator()
-        supervisor = ConversionSupervisor(schema, operator)
-        with pytest.warns(DeprecationWarning):
-            old = supervisor.convert_program(report_program(),
-                                             "relational")
-        new = supervisor.convert_program(
-            report_program(),
-            options=ConversionOptions(target_model="relational"))
-        assert old.to_summary() == new.to_summary()
-
     def test_variable_verb_programs_still_route_via_options(self):
         """The options path carries verb pins through from_options."""
         program = b.program("CONSOLE", "network", "COMPANY-NAME", [
@@ -253,3 +158,18 @@ class TestDeprecationShims:
             options=options)
         report = supervisor.convert_program(program, options=options)
         assert report.status == "analyst-assisted"
+
+    def test_run_bench_rejects_unknown_suite(self):
+        with pytest.raises(ValueError, match="unknown bench suite"):
+            api.run_bench("nonsense")
+
+
+class TestCuratedNamespace:
+    def test_all_names_resolve(self):
+        for name in repro.__all__:
+            assert getattr(repro, name, None) is not None, name
+
+    def test_facade_exposed_at_top_level(self):
+        assert repro.convert is api.convert
+        assert repro.convert_batch is api.convert_batch
+        assert repro.ConversionOptions is ConversionOptions

@@ -1,20 +1,17 @@
 """The rules-as-data catalog: loader rejections with positions, the
 render/load round-trip, compiled dispatch parity with the legacy rule
-classes, template/pass/algebra gating, the deprecation shims over the
-old ``repro.core.rules`` globals, end-to-end byte-identity of the
+classes, template/pass/algebra gating, end-to-end byte-identity of the
 builtin catalog against its own rendered round-trip, the shipped
 ``examples/store-default.rules`` walkthrough, and the service-side
 cascade cache keyed on the submission's rules."""
 
 import dataclasses
-import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from repro import api
-from repro._deprecation import reset_deprecation_warnings
 from repro.catalog import (
     CHANGE_KINDS,
     NETWORK_TEMPLATES,
@@ -386,48 +383,6 @@ def test_without_the_example_catalog_the_store_is_left_alone(tmp_path):
     rendered = ast.render_program(report.target_program)
     assert "GRADE=1" not in rendered
     assert any("defaults to 1" in note for note in report.notes)
-
-
-# -- deprecation shims over the old module globals --------------------
-
-
-@pytest.fixture
-def fresh_shims():
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
-
-
-@pytest.mark.deprecated_api
-@pytest.mark.filterwarnings("always::DeprecationWarning")
-class TestRulesShims:
-    def _assert_warns_once(self, call, match):
-        with pytest.warns(DeprecationWarning, match=match):
-            call()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            call()
-        leaked = [w for w in caught
-                  if issubclass(w.category, DeprecationWarning)]
-        assert not leaked, "shim must warn exactly once per process"
-
-    def test_rules_global_resolves_to_the_compiled_catalog(
-            self, fresh_shims):
-        self._assert_warns_once(lambda: core_rules.RULES,
-                                "RULES is deprecated")
-        assert core_rules.RULES == default_rules().rules
-
-    def test_rule_for_resolves_to_the_compiled_dispatch(
-            self, fresh_shims):
-        self._assert_warns_once(lambda: core_rules.rule_for,
-                                "rule_for is deprecated")
-        change = FieldAdded(record="EMP", field_name="GRADE")
-        assert core_rules.rule_for(change) is \
-            default_rules().rule_for(change)
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            core_rules.no_such_thing
 
 
 # -- the service: submissions, pool key, cascade cache ----------------

@@ -1,26 +1,23 @@
-"""The COBRA cost model (repro.cost), the cost-gated optimizer passes,
-and the cost-ordered cascade.
+"""The rewrite-skip check (repro.cost), the cost-gated optimizer
+passes, and the cost-ordered cascade.
 
 The load-bearing invariant throughout: cost ordering is *sound pruning
-only*.  The cascade may skip a rewrite attempt exactly when the static
-profile proves the analyzer would refuse the program, and the skipped
+only*.  The cascade may skip a rewrite attempt exactly when static
+analysis proves the analyzer would refuse the program, and the skipped
 path must synthesize byte-identical reports, checkpoints, and analyst
 transcripts -- at every jobs count and pathology rate.
 """
 
-import json
-
 import pytest
 
-from repro.analysis.variability import (
-    VERB_VARIABILITY_DETAIL,
-    detect_verb_variability,
-)
+from repro.analysis.variability import VERB_VARIABILITY_DETAIL
 from repro.batch import run_batch
 from repro.core.abstract import ACond, ALocate, AbstractProgram, walk
+from repro.core.analyzer_program import ProgramAnalyzer, blocking_failure
 from repro.core.optimizer import CostModel, Optimizer
 from repro.core.supervisor import ScriptedAnalyst
-from repro.cost import CostCalibrator, CostPredictor, estimate_profile
+from repro.cost import CostPredictor
+from repro.errors import AnalysisError
 from repro.options import ConversionOptions
 from repro.parallel import run_parallel_batch
 from repro.programs import ast
@@ -69,105 +66,35 @@ def verb_program(name="VERB-VAR"):
     ])
 
 
-class TestAccessProfile:
-    def test_calc_lookup_is_an_index_probe(self, company_schema):
-        profile = estimate_profile(lookup_program(), MODEL, company_schema)
-        assert profile.index_probes == 1
-        assert profile.records_read == 1
-        assert profile.full_scans == 0
-        assert profile.rewrite_feasible
-
-    def test_uncovered_find_is_a_half_scan(self, company_schema):
-        program = b.program("T", "network", "C", [
-            b.find_any("EMP", **{"DEPT-NAME": "SALES"}),
-        ])
-        profile = estimate_profile(program, MODEL, company_schema)
-        assert profile.index_probes == 0
-        assert profile.full_scans == 1
-        assert profile.records_read == pytest.approx(40 / 2)
-
-    def test_scan_trip_follows_set_cardinalities(self, company_schema):
-        profile = estimate_profile(scan_program(), MODEL, company_schema)
-        # DIV probe (1) + FIND FIRST (1) + trip 20 x (GET + FIND NEXT).
-        assert profile.records_read == pytest.approx(1 + 1 + 20 + 20)
-        assert profile.index_probes == 1
-
-    def test_if_branches_are_expectations(self, company_schema):
-        program = b.program("T", "network", "C", [
-            b.find_any("DIV", **{"DIV-NAME": "X"}),
-            b.if_(ast.status_ok(), [b.get("DIV")]),
-        ])
-        profile = estimate_profile(program, MODEL, company_schema)
-        assert profile.records_read == pytest.approx(1 + 0.5)
-
+class TestPredictor:
     def test_blocking_details_match_the_detector(self, company_schema):
         program = verb_program()
-        profile = estimate_profile(program, MODEL, company_schema)
-        assert profile.blocking_details == (VERB_VARIABILITY_DETAIL,)
-        assert not profile.rewrite_feasible
-        findings = detect_verb_variability(program)
-        assert [f.detail for f in findings if f.blocking] == \
-            list(profile.blocking_details)
+        blocking = CostPredictor().predict(program)
+        assert blocking == (VERB_VARIABILITY_DETAIL,)
+        # The check's verdict is the analyzer's own refusal.
+        with pytest.raises(AnalysisError) as refused:
+            ProgramAnalyzer(company_schema).analyze(program)
+        assert str(refused.value) == blocking_failure(blocking)
 
-    def test_constant_verb_is_not_blocking(self, company_schema):
+    def test_constant_verb_is_not_blocking(self):
         program = b.program("T", "network", "C", [
             b.generic_call(ast.Const("STORE"), "EMP",
                            **{"EMP-NAME": "X"}),
         ])
-        profile = estimate_profile(program, MODEL, company_schema)
-        assert profile.rewrite_feasible
+        assert CostPredictor().predict(program) == ()
 
-
-class TestPredictor:
-    def test_per_strategy_costs(self, company_schema):
-        predictor = CostPredictor(MODEL, company_schema)
-        prediction = predictor.predict(lookup_program())
-        native = 2  # one probe + one record read
-        assert prediction.costs["rewrite"] == pytest.approx(native)
-        assert prediction.costs["emulation"] == pytest.approx(
-            native + CostPredictor.EMULATION_CALL_FACTOR * 1)
-        assert prediction.costs["bridge"] == pytest.approx(native + 40)
-        assert prediction.cheapest_feasible() == "rewrite"
-
-    def test_blocking_program_marks_rewrite_infeasible(self,
-                                                       company_schema):
-        predictor = CostPredictor(MODEL, company_schema)
-        prediction = predictor.predict(verb_program())
-        assert prediction.costs["rewrite"] is None
-        assert prediction.blocking
-        assert prediction.cheapest_feasible() in ("emulation", "bridge")
-
-
-class TestCalibrator:
-    def test_factor_and_accuracy(self):
-        calibrator = CostCalibrator()
-        calibrator.observe("rewrite", predicted=10.0, measured=20.0)
-        assert calibrator.factor("rewrite") == pytest.approx(2.0)
-        assert calibrator.calibrate("rewrite", 10.0) == pytest.approx(20.0)
-        accuracy = calibrator.accuracy()["rewrite"]
-        assert accuracy["samples"] == 1
-        assert accuracy["mean_abs_pct_error"] == pytest.approx(0.5)
-
-    def test_unknown_strategy_is_identity(self):
-        assert CostCalibrator().factor("emulation") == 1.0
-
-    def test_delta_then_absorb_reconstructs_the_whole(self):
-        calibrator = CostCalibrator()
-        calibrator.observe("rewrite", 10.0, 12.0)
-        before = calibrator.snapshot()
-        calibrator.observe("rewrite", 5.0, 4.0)
-        calibrator.observe("emulation", 7.0, 21.0)
-        delta = calibrator.delta(before)
-        assert set(delta) == {"rewrite", "emulation"}
-        merged = CostCalibrator()
-        merged.absorb(before)
-        merged.absorb(delta)
-        assert merged.snapshot() == calibrator.snapshot()
-
-    def test_delta_skips_unmoved_channels(self):
-        calibrator = CostCalibrator()
-        calibrator.observe("rewrite", 10.0, 12.0)
-        assert calibrator.delta(calibrator.snapshot()) == {}
+    def test_blocking_program_marks_rewrite_infeasible(self):
+        program = b.program("T", "network", "C", [
+            b.accept("REQUEST"),
+            b.if_(ast.status_ok(), [
+                b.generic_call(b.v("REQUEST"), "EMP",
+                               **{"EMP-NAME": "X"}),
+            ]),
+            b.generic_call(b.v("REQUEST"), "DIV",
+                           **{"DIV-NAME": "X"}),
+        ])
+        assert CostPredictor().predict(program) == \
+            (VERB_VARIABILITY_DETAIL,) * 2
 
 
 class TestOptimizerCalcLocate:
@@ -312,10 +239,9 @@ class TestCostOrderedCascade:
         assert cost.report.to_summary() == fixed.report.to_summary()
         assert cost.report.strategy == "emulation"
         assert cost_cascade.cost_counters.get("rewrite_skips") == 1
-        assert cost.report.cost["predicted"]["rewrite"] is None
-        assert cost.report.cost["chosen_order"] == ["emulation", "bridge"]
-        assert fixed.report.cost["chosen_order"] == [
-            "rewrite", "emulation", "bridge"]
+        assert [(stage.strategy, stage.outcome)
+                for stage in cost.report.stages] == [
+            ("rewrite", "unconverted"), ("emulation", "validated")]
 
     def test_analyst_transcripts_are_identical(self, cascade_pair):
         transcripts = {}
@@ -331,18 +257,15 @@ class TestCostOrderedCascade:
         assert transcripts["cost"] == transcripts["fixed"]
         assert transcripts["cost"], "the pin-verb question must be posed"
 
-    def test_clean_program_pays_the_attempt_and_carries_cost(
-            self, cascade_pair):
+    def test_clean_program_pays_the_attempt(self, cascade_pair):
         cascade = cascade_pair("cost")
         outcome = cascade.convert(lookup_program(),
                                   options=VERB_OPTIONS)
         assert outcome.report.strategy == "rewrite"
-        assert outcome.report.cost["chosen_order"] == [
-            "rewrite", "emulation", "bridge"]
-        assert outcome.report.cost["predicted"]["rewrite"] is not None
-        assert outcome.report.cost["measured"] == outcome.run.cost()
+        assert [(stage.strategy, stage.outcome)
+                for stage in outcome.report.stages] == [
+            ("rewrite", "validated")]
         assert cascade.cost_counters.get("rewrite_skips") == 0
-        assert cascade.calibrator.samples == 1
 
     def test_options_strategy_order_overrides_the_constructor(
             self, cascade_pair):
@@ -351,8 +274,7 @@ class TestCostOrderedCascade:
             verb_program(),
             options=VERB_OPTIONS.replace(strategy_order="fixed"))
         assert cascade.cost_counters.get("rewrite_skips") == 0
-        assert outcome.report.cost["chosen_order"] == [
-            "rewrite", "emulation", "bridge"]
+        assert outcome.report.stages[0].strategy == "rewrite"
 
     def test_summary_round_trip_excludes_cost(self, cascade_pair):
         outcome = cascade_pair("cost").convert(lookup_program(),
@@ -404,31 +326,13 @@ class TestByteIdentityMatrix:
         assert cost_path.read_bytes() == fixed_path.read_bytes()
         assert parallel_path.read_bytes() == cost_path.read_bytes()
 
-        # Every cascade report carries the prediction, and the parallel
-        # merge reattaches the same cost dicts the serial run produced.
-        serial_costs = [report.cost for report in serial.reports]
-        assert all(entry and entry.get("predicted")
-                   for entry in serial_costs)
-        assert [report.cost for report in parallel.reports] == \
-            serial_costs
-        assert json.dumps(serial_costs)  # JSON-serializable end to end
-
-        # The coordinator absorbed the workers' calibration deltas: a
-        # parallel batch learns exactly what the serial one does.  The
-        # error accumulator is a float sum, so worker-order addition
-        # may differ from serial by an ulp -- hence approx, while the
-        # integer and total fields must match exactly.
-        serial_snapshot = serial_cascade.calibrator.snapshot()
-        parallel_snapshot = parallel_cascade.calibrator.snapshot()
-        assert set(parallel_snapshot) == set(serial_snapshot)
-        for strategy, channel in serial_snapshot.items():
-            assert parallel_snapshot[strategy] == pytest.approx(channel)
-
     def test_skips_happen_only_on_pathological_corpora(self, tmp_path):
         spec = InventorySpec(programs=24, pathology_rate=0.75,
                              sweep_statements=300)
         programs = [item.program for item in generate_inventory(spec)]
         cascade = inventory_cascade(spec)
         run_batch(cascade, programs, BATCH_OPTIONS)
-        assert cascade.cost_counters.get("rewrite_skips") > 0
-        assert cascade.cost_counters.get("predictions") == len(programs)
+        blocked = sum(1 for program in programs
+                      if CostPredictor().predict(program))
+        assert blocked > 0
+        assert cascade.cost_counters.get("rewrite_skips") == blocked

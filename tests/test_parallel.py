@@ -90,7 +90,7 @@ class TestParallelMatchesSerial:
         # A program whose *reference run* faults (an ACCEPT with no
         # terminal input feeds '' to a generic DML call) escapes the
         # cascade entirely; convert_one's belt-and-braces path records
-        # the fault with metrics and cost left as None.  Workers must
+        # the fault with metrics left as None.  Workers must
         # ship that report as-is -- dict(None) used to kill the worker.
         programs = corpus_programs(0.5, size=8, seed=1)
         options = ConversionOptions(inputs=ProgramInputs(terminal=[]),
@@ -98,15 +98,13 @@ class TestParallelMatchesSerial:
         serial = run_batch(fresh_cascade(), programs, options)
         faulted = [r for r in serial.reports if r.fault is not None]
         assert faulted, "corpus must include a reference-run fault"
-        assert all(r.metrics is None and r.cost is None for r in faulted)
+        assert all(r.metrics is None for r in faulted)
 
         parallel = run_parallel_batch(fresh_cascade(), programs,
                                       options.replace(jobs=2))
         assert summaries(parallel) == summaries(serial)
         assert [r.metrics for r in parallel.reports] == \
             [r.metrics for r in serial.reports]
-        assert [r.cost for r in parallel.reports] == \
-            [r.cost for r in serial.reports]
 
     def test_fault_plan_fires_identically_at_any_jobs_count(self):
         programs = corpus_programs(0.0)
