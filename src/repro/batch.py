@@ -15,22 +15,27 @@ or lose the work already done.
   recorded as a failed :class:`~repro.core.report.ConversionReport`
   with a :class:`~repro.core.report.FaultContext` carrying the chained
   root cause, while the rest of the batch proceeds;
-* **durability** -- after each program the batch journals its progress
-  to a JSON checkpoint (atomic rename + directory fsync), so a killed
-  run resumes with ``resume=True`` and completes only the unfinished
-  programs;
+* **durability** -- after each program the batch appends its report
+  summary to a journal log (one JSON line, fsynced), so a killed run
+  resumes with ``resume=True`` and completes only the unfinished
+  programs; once per batch -- at its end, on an interrupt, and when a
+  resume starts -- the log is folded into the canonical JSON
+  checkpoint document (atomic rename + directory fsync);
 * **fidelity** -- a resumed batch reproduces the same final
   :class:`~repro.core.report.BatchReport` (reports are serialized via
   the exact render/parse round trip).
 
-The parallel executor (:mod:`repro.parallel`) reuses the same journal
-through per-worker *shards*: worker ``k`` journals its cumulative
-progress to ``<checkpoint>.shard<k>`` after every dispatch chunk, and
-the coordinator merges the shards into the main checkpoint in program
-order -- atomically, shards unlinked only after the merged document is
-durable -- so a resumed parallel run is byte-identical to a serial
-one.  The merge keys on program names, not shard order, so it is
-indifferent to which worker converted which chunk.
+Journal cost is linear in the batch: every summary is written once to
+the log and once to the checkpoint, where rewriting the whole document
+after every program wrote the first summary n times.
+
+The parallel executor (:mod:`repro.parallel`) uses the same log format
+through per-worker *shards*: worker ``k`` appends each dispatch chunk's
+summaries to ``<checkpoint>.shard<k>``, and the coordinator folds the
+shards into the checkpoint in program order with the same single fold
+step the serial engine uses, so a parallel run's checkpoint is
+byte-identical to a serial one.  The fold keys on program names, not
+log order, so it is indifferent to which worker converted which chunk.
 """
 
 from __future__ import annotations
@@ -48,7 +53,13 @@ from repro.core.report import (
 )
 from repro.errors import ReproError
 from repro.faultinject import KIND_KILL_WORKER, FaultPlan, WorkerKilled
-from repro.jsonio import remove_durable, write_json_atomic
+from repro.jsonio import (
+    append_json_lines,
+    read_json_lines,
+    remove_durable,
+    render_json,
+    write_json_atomic,
+)
 from repro.observe.registry import named_counters
 from repro.observe.tracing import span
 from repro.options import ConversionOptions
@@ -75,85 +86,127 @@ class CheckpointError(ReproError):
     """A checkpoint file is unreadable or belongs to a different batch."""
 
 
-class BatchCheckpoint:
-    """Journal of a batch run: which programs, which are done, and
-    their report summaries -- one JSON document, rewritten atomically
-    after every program."""
+def _verified(path: Path, data: object,
+              programs: list[str] | None) -> list[str]:
+    """The program list of a checkpoint document or log header, which
+    must have this journal's version and, when ``programs`` is given,
+    exactly that program list."""
+    version = data.get("version") if isinstance(data, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint {path} has version {version!r}, "
+            f"expected {CHECKPOINT_VERSION}"
+        )
+    if programs is not None and data.get("programs") != programs:
+        raise CheckpointError(
+            f"checkpoint {path} was written for programs "
+            f"{data.get('programs')}, not {programs}"
+        )
+    return data.get("programs")
 
-    def __init__(self, path: str | Path):
+
+def _read_log(log: Path, programs: list[str] | None
+              ) -> tuple[list[str] | None, list[dict]]:
+    """One log's program list and summaries, in append order.
+
+    A missing log holds nothing; so does one whose header was torn.
+    A torn final line is dropped (by :func:`read_json_lines`); any
+    other malformed line, or a header for other programs, is refused.
+    """
+    try:
+        lines = read_json_lines(log)
+    except FileNotFoundError:
+        return programs, []
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(
+            f"cannot read checkpoint log {log}: {exc}") from exc
+    if not lines:
+        return programs, []
+    header, *records = lines
+    programs = _verified(log, header, programs)
+    for number, record in enumerate(records, start=2):
+        if not isinstance(record, dict) or \
+                not isinstance(record.get("program"), str):
+            raise CheckpointError(
+                f"checkpoint log {log} line {number} is not a report "
+                f"summary")
+    return programs, records
+
+
+def _reports(document: dict) -> dict[str, ConversionReport]:
+    return {
+        entry["program"]: ConversionReport.from_summary(entry)
+        for entry in document["completed"]
+    }
+
+
+class BatchCheckpoint:
+    """Journal of a batch run: append-only logs of report summaries,
+    folded into one canonical checkpoint document.
+
+    The checkpoint at ``path`` is ``{"version", "programs",
+    "completed"}``, the summaries in program order.  A running batch
+    never rewrites it: :meth:`write` appends settled programs to a log
+    whose first line is the header ``{"version", "programs"}`` and
+    whose every further line is one summary.  The serial engine and the
+    parallel coordinator append to ``<path>.log``; pool worker ``k``
+    appends to its own ``<path>.shard<k>`` (see :meth:`shard`).
+    :meth:`merge_shards` folds the checkpoint and every log into a new
+    checkpoint and removes the logs.
+    """
+
+    def __init__(self, path: str | Path, log: str | Path | None = None):
         self.path = Path(path)
+        #: The log :meth:`write` appends to.
+        self.log_path = Path(log) if log is not None else \
+            self._sibling(".log")
+
+    def _sibling(self, suffix: str) -> Path:
+        return self.path.with_name(self.path.name + suffix)
 
     def exists(self) -> bool:
         return self.path.exists()
 
     def load(self) -> dict:
+        """The canonical checkpoint document."""
         try:
             data = json.loads(self.path.read_text())
         except (OSError, ValueError) as exc:
             raise CheckpointError(
                 f"cannot read checkpoint {self.path}: {exc}"
             ) from exc
-        if data.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {self.path} has version "
-                f"{data.get('version')!r}, expected {CHECKPOINT_VERSION}"
-            )
+        _verified(self.path, data, None)
         return data
 
-    def completed_summaries(self, programs: list[str]) -> dict[str, dict]:
-        """The already-journaled report summaries, verified against
-        this batch's program list (a checkpoint from a different batch
-        is refused, not silently merged)."""
-        data = self.load()
-        if data.get("programs") != programs:
-            raise CheckpointError(
-                f"checkpoint {self.path} was written for programs "
-                f"{data.get('programs')}, not {programs}"
-            )
-        return {
-            entry["program"]: entry for entry in data.get("completed", ())
-        }
+    def write(self, programs: list[str], summaries: list[dict]) -> None:
+        """Append report summaries to this journal's log in one durable
+        append; the call that creates the log writes the header
+        first."""
+        append_json_lines(
+            summaries, self.log_path,
+            header={"version": CHECKPOINT_VERSION, "programs": programs})
 
-    def completed_reports(self, programs: list[str]
-                          ) -> dict[str, ConversionReport]:
-        """:meth:`completed_summaries`, parsed back into reports."""
-        return {
-            name: ConversionReport.from_summary(entry)
-            for name, entry in self.completed_summaries(programs).items()
-        }
-
-    def write(self, programs: list[str],
-              completed: list[ConversionReport]) -> None:
-        """Atomic journal update (write-then-rename, so a kill mid-write
-        leaves the previous checkpoint intact)."""
-        self.write_summaries(
-            programs, [report.to_summary() for report in completed])
-
-    def write_summaries(self, programs: list[str],
-                        completed: list[dict]) -> None:
-        data = {
-            "version": CHECKPOINT_VERSION,
-            "programs": programs,
-            "completed": completed,
-        }
-        write_json_atomic(data, self.path)
+    def logged(self, programs: list[str]) -> list[dict]:
+        """The summaries in this journal's own log (none when absent)."""
+        return _read_log(self.log_path, programs)[1]
 
     def clear(self) -> None:
-        remove_durable(self.path)
-        for shard in self.shard_paths():
-            remove_durable(shard)
+        """Durably remove the checkpoint and every log."""
+        for path in (self.path, *self.log_paths()):
+            remove_durable(path)
 
-    # -- per-worker shards (parallel batches) --------------------------
+    # -- logs ----------------------------------------------------------
 
     def shard_path(self, worker_id: int) -> Path:
-        """Worker ``k``'s private journal, next to the main checkpoint."""
-        return self.path.with_name(f"{self.path.name}.shard{worker_id}")
+        """Worker ``k``'s private log, next to the checkpoint."""
+        return self._sibling(f".shard{worker_id}")
 
     def shard(self, worker_id: int) -> "BatchCheckpoint":
-        return BatchCheckpoint(self.shard_path(worker_id))
+        """Worker ``k``'s journal: this checkpoint, its own log."""
+        return BatchCheckpoint(self.path, log=self.shard_path(worker_id))
 
     def shard_paths(self) -> list[Path]:
-        """Existing shard files, ordered by worker id."""
+        """Existing shard logs, ordered by worker id."""
         prefix = f"{self.path.name}.shard"
         found = [
             p for p in self.path.parent.glob(f"{prefix}*")
@@ -161,49 +214,111 @@ class BatchCheckpoint:
         ]
         return sorted(found, key=lambda p: int(p.name[len(prefix):]))
 
-    def merge_shards(self, programs: list[str]) -> None:
-        """Fold every worker shard into the main checkpoint.
+    def log_paths(self) -> list[Path]:
+        """Existing logs: the batch log, then the shards."""
+        batch_log = self._sibling(".log")
+        found = [batch_log] if batch_log.exists() else []
+        return found + self.shard_paths()
 
-        The union of the main document and all shards is rewritten in
-        program order -- the same order a serial run journals in, so
-        the merged checkpoint is byte-identical to a serial one.  The
-        merged document is written (and its directory fsynced) *before*
-        the shards are unlinked: a crash inside the merge window leaves
-        either the shards or the merged main, never neither.  The
-        fault-injection harness targets exactly that window via
-        ``inject(repro.batch, "write_json_atomic")`` and
-        ``inject(repro.jsonio, "fsync_dir")``.
+    # -- the fold ------------------------------------------------------
+
+    def _fold(self, programs: list[str] | None
+              ) -> tuple[dict | None, list[Path]]:
+        """The checkpoint document that folding every log into the
+        current one gives, and the logs listed.
+
+        Summaries are deduplicated by program name (a log's replace
+        the document's) and ordered by the program list; with
+        ``programs`` None the list comes from the journal itself, and
+        the document is None when nothing has been journaled.  Logs are
+        read before the document: a compaction writes the document
+        before it removes a log, so a log that vanishes after listing
+        is already in the document read after it.
         """
+        logs = self.log_paths()
+        appended: list[dict] = []
+        for log in logs:
+            programs, records = _read_log(log, programs)
+            appended.extend(records)
         merged: dict[str, dict] = {}
         if self.exists():
-            merged.update(self.completed_summaries(programs))
-        shards = self.shard_paths()
-        for shard_file in shards:
-            merged.update(
-                BatchCheckpoint(shard_file).completed_summaries(programs))
-        ordered = [merged[name] for name in programs if name in merged]
-        write_json_atomic(
-            {
-                "version": CHECKPOINT_VERSION,
-                "programs": programs,
-                "completed": ordered,
-            },
-            self.path,
-        )
-        # Durable unlink: a power loss must not resurrect already-merged
-        # shards for a later resume to fold over fresher main state.
-        for shard_file in shards:
-            remove_durable(shard_file)
+            data = self.load()
+            programs = _verified(self.path, data, programs)
+            merged = {entry["program"]: entry
+                      for entry in data.get("completed", ())}
+        if programs is None:
+            return None, logs
+        merged.update((record["program"], record) for record in appended)
+        document = {
+            "version": CHECKPOINT_VERSION,
+            "programs": programs,
+            "completed": [merged[name] for name in programs
+                          if name in merged],
+        }
+        return document, logs
+
+    def merge_shards(self, programs: list[str]) -> dict:
+        """Fold every log into the checkpoint; return the document.
+
+        The one fold step of the journal: the checkpoint (if present)
+        and every log -- the batch log, worker shards, quarantine
+        records -- become one document in program order, the order a
+        serial run settles in, so the result is byte-identical to a
+        serial run's.  It is written (and its directory fsynced)
+        *before* the logs are unlinked: a crash inside the fold leaves
+        either the logs or the new checkpoint, never neither.  Without
+        logs there is nothing to fold and nothing is written.
+        """
+        document, logs = self._fold(programs)
+        if logs:
+            write_json_atomic(document, self.path)
+            # Durable unlink: a power loss must not resurrect folded
+            # logs for a later resume to fold over fresher state.
+            for log in logs:
+                remove_durable(log)
+        return document
 
     def recover(self, programs: list[str]) -> dict[str, ConversionReport]:
-        """Resume entry point: fold in any leftover shards (a parallel
-        run killed before or during its merge), then return the
-        completed reports.  Tolerates a missing main checkpoint."""
-        if self.shard_paths():
-            self.merge_shards(programs)
-        if not self.exists():
-            return {}
-        return self.completed_reports(programs)
+        """Resume entry point: fold whatever logs an interrupted or
+        killed run left, then return the journaled reports.  Tolerates
+        a missing checkpoint."""
+        return _reports(self.merge_shards(programs))
+
+    def completed_reports(self, programs: list[str]
+                          ) -> dict[str, ConversionReport]:
+        """The journaled reports, read without folding anything."""
+        return _reports(self._fold(programs)[0])
+
+    def render(self) -> bytes | None:
+        """The bytes :meth:`merge_shards` would write now, without
+        writing them: a reader's view of a running or killed batch
+        (``None`` while nothing is journaled).  Safe while the batch
+        appends and compacts concurrently."""
+        document, _logs = self._fold(None)
+        if document is None:
+            return None
+        return render_json(document).encode("utf-8")
+
+
+def open_journal(options: ConversionOptions, names: list[str]
+                 ) -> tuple[BatchCheckpoint | None,
+                            dict[str, ConversionReport]]:
+    """The batch's journal and the reports it already holds.
+
+    Both engines start a batch here.  With ``options.resume`` the logs
+    an interrupted run left are folded in and its reports recovered.
+    Without it, whatever another run left at the checkpoint path --
+    document, log, worker shards -- is durably removed before the first
+    program, so it can neither leak into this batch's fold nor be
+    refused by it.
+    """
+    if not options.checkpoint:
+        return None, {}
+    journal = BatchCheckpoint(options.checkpoint)
+    if options.resume:
+        return journal, journal.recover(names)
+    journal.clear()
+    return journal, {}
 
 
 def check_program_names(programs: list[Program]) -> list[str]:
@@ -222,15 +337,17 @@ def run_batch(cascade: FallbackCascade, programs: list[Program],
     per-program faults and journaling progress.
 
     With ``options.resume`` and an existing checkpoint (or leftover
-    parallel shards), programs already journaled are not re-run; their
-    reports are reconstructed from the checkpoint so the final report
-    matches an uninterrupted run.
+    logs), programs already journaled are not re-run; their reports
+    are reconstructed from the journal so the final report matches an
+    uninterrupted run.  Without it, a checkpoint path holding another
+    run's journal starts empty.
 
     ``progress`` is invoked as ``progress(report, done, total,
     resumed)`` after every program settles -- *after* its report is
-    journaled, so a callback that raises (the conversion service's
-    cooperative stop raises ``KeyboardInterrupt`` there) always leaves
-    a checkpoint that resumes past the reported program.  Programs
+    appended to the log, so a callback that raises (the conversion
+    service's cooperative stop raises ``KeyboardInterrupt`` there)
+    always leaves a journal that resumes past the reported program;
+    the log is folded into the checkpoint on the way out.  Programs
     recovered from the checkpoint are reported too, with
     ``resumed=True``, so a resumed batch still narrates every program
     exactly once.
@@ -241,37 +358,45 @@ def run_batch(cascade: FallbackCascade, programs: list[Program],
     """
     options = options if options is not None else ConversionOptions()
     names = check_program_names(programs)
+    journal, done = open_journal(options, names)
+    return convert_serially(cascade, programs, options, journal, done,
+                            progress)
 
-    journal = BatchCheckpoint(options.checkpoint) if options.checkpoint \
-        else None
-    done: dict[str, ConversionReport] = {}
-    if journal is not None and options.resume:
-        done = journal.recover(names)
 
+def convert_serially(cascade: FallbackCascade, programs: list[Program],
+                     options: ConversionOptions,
+                     journal: BatchCheckpoint | None,
+                     done: dict[str, ConversionReport],
+                     progress: "ProgressCallback | None" = None
+                     ) -> BatchReport:
+    """The serial engine over a journal :func:`open_journal` opened:
+    one log append per converted program, one fold at the end -- in a
+    ``finally``, so an interrupt still leaves the checkpoint
+    document."""
+    names = [program.name for program in programs]
     batch = BatchReport()
-    finished: list[ConversionReport] = [
-        done[name] for name in names if name in done
-    ]
-
     total = len(programs)
     settled = 0
-    with span("batch.convert", programs=len(programs)):
-        for program in programs:
-            if program.name in done:
-                batch.add(done[program.name])
+    with span("batch.convert", programs=total):
+        try:
+            for program in programs:
+                if program.name in done:
+                    batch.add(done[program.name])
+                    settled += 1
+                    if progress is not None:
+                        progress(done[program.name], settled, total, True)
+                    continue
+                with span("batch.program", program=program.name):
+                    report = convert_one(cascade, program, options)
+                batch.add(report)
+                if journal is not None:
+                    journal.write(names, [report.to_summary()])
                 settled += 1
                 if progress is not None:
-                    progress(done[program.name], settled, total, True)
-                continue
-            with span("batch.program", program=program.name):
-                report = convert_one(cascade, program, options)
-            batch.add(report)
-            finished.append(report)
+                    progress(report, settled, total, False)
+        finally:
             if journal is not None:
-                journal.write(names, finished)
-            settled += 1
-            if progress is not None:
-                progress(report, settled, total, False)
+                journal.merge_shards(names)
     return batch
 
 

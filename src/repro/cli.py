@@ -464,8 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="batch mode: terminal input lines for the "
                           "validation probes")
     sub.add_argument("--checkpoint",
-                     help="batch mode: JSON journal path, updated "
-                          "after every program")
+                     help="batch mode: JSON checkpoint path; every "
+                          "finished program is appended to "
+                          "<path>.log, folded into <path> when the "
+                          "batch ends")
     sub.add_argument("--resume", action="store_true",
                      help="batch mode: skip programs already journaled "
                           "in --checkpoint")

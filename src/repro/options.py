@@ -93,7 +93,8 @@ class ConversionOptions:
     #: pool; smaller batches auto-degrade to the in-process path
     #: (``None``: ``max(2 * jobs, DEFAULT_PARALLEL_THRESHOLD)``).
     parallel_threshold: int | None = None
-    #: JSON journal path, updated after every program.
+    #: JSON checkpoint path: every settled program is appended to
+    #: ``<checkpoint>.log``, folded into this document at batch end.
     checkpoint: str | Path | None = None
     #: Skip programs already journaled in ``checkpoint``.
     resume: bool = False

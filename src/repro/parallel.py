@@ -17,15 +17,16 @@ long-lived worker processes:
   tasks (dynamic dispatch: a fast worker completes more chunks, so an
   expensive pathology on one worker no longer stalls a static
   round-robin share);
-* worker ``k`` journals its cumulative batch progress to the
-  ``<checkpoint>.shard<k>`` file after **every chunk**, so a killed or
-  interrupted run resumes exactly as before;
+* worker ``k`` appends every chunk's report summaries to its
+  ``<checkpoint>.shard<k>`` log, one fsynced append per chunk (a group
+  commit), so a killed or interrupted run resumes past every chunk a
+  worker finished;
 * batches below ``options.parallel_threshold`` pending programs
   auto-degrade to the in-process path (and say why at INFO level) --
   ``--jobs 8`` on a tiny batch must not cost 35x;
 * Ctrl-C / SIGTERM inside the pool window **drains** gracefully: no
   new chunks are dispatched, in-flight chunks finish and are
-  journaled, every shard is folded into the main checkpoint, and the
+  journaled, every log is folded into the checkpoint, and the
   interrupt is re-raised with a resumable journal on disk;
 * the coordinator **supervises** the pool: a dead worker's in-flight
   chunks are reclaimed from the dealt-chunk ledger and re-dealt, a
@@ -45,14 +46,16 @@ executor: report summaries come back through the exact render/parse
 round trip and are reassembled in program order, per-program metrics
 are reattached, worker registry deltas are absorbed via
 :class:`~repro.observe.registry.FrozenMetricsSource`, worker span
-forests mount under per-worker ``parallel.worker`` roots, and shards
-fold into the main journal in program order -- so reports, checkpoint
-bytes, and metrics are byte-identical to a serial run at any worker
-count, any chunk size, and any dispatch interleaving.
+forests mount under per-worker ``parallel.worker`` roots, and the
+shards, together with the coordinator's quarantine records, fold into
+the checkpoint in program order through the serial engine's fold step
+(:meth:`repro.batch.BatchCheckpoint.merge_shards`) -- so reports,
+checkpoint bytes, and metrics are byte-identical to a serial run at
+any worker count, any chunk size, and any dispatch interleaving.
 
 ``jobs=1`` (or a batch with at most one pending program) takes the
-in-process fast path: no pool, no pickling, no subprocess -- just
-:func:`repro.batch.run_batch`.
+in-process fast path: no pool, no pickling, no subprocess -- just the
+serial engine, :func:`repro.batch.convert_serially`.
 """
 
 from __future__ import annotations
@@ -75,13 +78,13 @@ from repro.batch import (
     ProgressCallback,
     check_program_names,
     convert_one,
+    convert_serially,
+    open_journal,
     quarantine_report,
-    run_batch,
 )
 from repro.core.report import BatchReport, ConversionReport
 from repro.errors import ReproError
 from repro.faultinject import mark_worker_process
-from repro.jsonio import remove_durable
 from repro.observe.merge import merge_worker_trace
 from repro.observe.registry import (
     FrozenMetricsSource,
@@ -165,7 +168,6 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
 
     journal: BatchCheckpoint | None = None
     names: list[str] = []
-    summaries: list[dict] = []
     tracer: Tracer | None = None
     before: dict[str, int] = {}
     clock_base = 0.0
@@ -177,14 +179,12 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
         if kind == "exit":
             return
         if kind == "begin":
-            _, names, shard_path, trace = message
-            journal = BatchCheckpoint(shard_path) if shard_path else None
-            if journal is not None and journal.exists():
-                # A stale shard from a crashed run the caller chose not
-                # to resume must not leak into this batch's merge --
-                # durably, so a machine crash cannot resurrect it.
-                remove_durable(journal.path)
-            summaries = []
+            _, names, checkpoint, trace = message
+            journal = (
+                BatchCheckpoint(checkpoint).shard(worker_id)
+                if checkpoint
+                else None
+            )
             before = registry.snapshot()
             tracer = Tracer() if trace else None
             if tracer is not None:
@@ -228,9 +228,8 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
                 # as-is so the merged report matches serial.
                 if report.metrics is not None:
                     chunk_metrics[program.name] = dict(report.metrics)
-            summaries.extend(chunk_summaries)
             if journal is not None:
-                journal.write_summaries(names, summaries)
+                journal.write(names, chunk_summaries)
         except Exception as exc:  # pragma: no cover - shipped upward
             result_queue.put(
                 ("error", worker_id, f"{type(exc).__name__}: {exc}")
@@ -289,7 +288,7 @@ class WorkerPool:
         for proc in self._procs:
             proc.start()
         #: Worker ids taken out of service by the supervisor (their
-        #: shard files stay on disk for the merge; their queues stay
+        #: shard logs stay on disk for the fold; their queues stay
         #: allocated so ids never recycle).
         self.retired: set[int] = set()
         self.closed = False
@@ -323,17 +322,17 @@ class WorkerPool:
         ]
 
     def retire(self, worker_id: int) -> None:
-        """Take a (dead) worker out of service.  Its shard file stays
+        """Take a (dead) worker out of service.  Its shard log stays
         on disk -- the chunks it journaled before dying are folded into
-        the main checkpoint at merge time."""
+        the checkpoint at merge time."""
         self.retired.add(worker_id)
 
     def respawn(self) -> int:
         """Spawn a replacement worker under a fresh id.
 
         A fresh id, never a recycled one: the dead worker's shard must
-        survive for the merge, so the replacement gets its own shard
-        path (and its own task queue -- messages queued to the dead
+        survive for the fold, so the replacement gets its own shard
+        log (and its own task queue -- messages queued to the dead
         worker are reclaimed from the coordinator's ledger, not from
         its queue).
         """
@@ -416,7 +415,7 @@ class ParallelExecutor:
 
     The executor owns the deterministic merge: reports come back in
     program order regardless of which worker converted what, checkpoint
-    shards fold into the main journal in program order, worker metrics
+    shards fold into the checkpoint in program order, worker metrics
     are absorbed into the coordinator registry, and worker span forests
     mount under per-worker roots on the active tracer.
 
@@ -457,16 +456,13 @@ class ParallelExecutor:
         names = check_program_names(self.programs)
         jobs = self.pool.jobs if self.pool is not None else options.resolved_jobs()
 
-        journal = BatchCheckpoint(options.checkpoint) if options.checkpoint else None
-        done: dict[str, ConversionReport] = {}
-        if journal is not None and options.resume:
-            done = journal.recover(names)
+        journal, done = open_journal(options, names)
         pending = [p for p in self.programs if p.name not in done]
 
         if jobs <= 1 or len(pending) <= 1:
             # In-process fast path: no pool, no pickling, no fork.
-            return run_batch(
-                self.cascade, self.programs, options, progress=self.progress
+            return convert_serially(
+                self.cascade, self.programs, options, journal, done, self.progress
             )
         threshold = options.resolved_parallel_threshold(jobs)
         if self.pool is None and len(pending) < threshold:
@@ -481,8 +477,8 @@ class ParallelExecutor:
                 threshold,
                 jobs,
             )
-            return run_batch(
-                self.cascade, self.programs, options, progress=self.progress
+            return convert_serially(
+                self.cascade, self.programs, options, journal, done, self.progress
             )
 
         pool = self.pool
@@ -604,12 +600,8 @@ class ParallelExecutor:
                 notify(done[name], resumed=True)
 
         def begin(worker_id: int) -> None:
-            shard = (
-                str(journal.shard_path(worker_id))
-                if journal is not None
-                else None
-            )
-            pool.send(worker_id, ("begin", names, shard, trace))
+            checkpoint = str(journal.path) if journal is not None else None
+            pool.send(worker_id, ("begin", names, checkpoint, trace))
             ledger[worker_id] = deque()
 
         def fill(worker_id: int) -> None:
@@ -623,28 +615,6 @@ class ParallelExecutor:
                 )
                 dealt.append((chunk_id, chunk))
 
-        def journal_quarantine() -> None:
-            # Quarantined programs never complete in any worker, so
-            # their summaries go into the *main* checkpoint directly
-            # (together with any resumed reports); the shard merge
-            # folds the union, and an interrupt or crash at any moment
-            # leaves them journaled.
-            if journal is None:
-                return
-            summaries = {
-                name: report.to_summary() for name, report in done.items()
-            }
-            summaries.update(
-                {
-                    name: report.to_summary()
-                    for name, report in quarantined.items()
-                }
-            )
-            journal.write_summaries(
-                names,
-                [summaries[name] for name in names if name in summaries],
-            )
-
         def quarantine(program: Program) -> None:
             report = quarantine_report(
                 program.name,
@@ -654,7 +624,11 @@ class ParallelExecutor:
             quarantined[program.name] = report
             remaining.discard(program.name)
             supervision.bump("quarantined")
-            journal_quarantine()
+            if journal is not None:
+                # Quarantined programs never complete in any worker:
+                # the coordinator appends their records to the batch
+                # log, which the fold reads with the shards.
+                journal.write(names, [report.to_summary()])
             notify(report)
             log.warning(
                 "parallel: quarantined %s after it killed %d worker(s)",
@@ -663,18 +637,16 @@ class ParallelExecutor:
             )
 
         def journaled_names(worker_id: int) -> set[str]:
-            # What the dead worker durably finished: its shard is
-            # rewritten after every chunk, so the first dealt chunk
-            # not fully present in it is where the worker died.
+            # What the dead worker durably finished: it appends to its
+            # shard after every chunk, so the first dealt chunk not
+            # fully present in it is where the worker died.
             if journal is None:
                 return set()
-            shard = BatchCheckpoint(journal.shard_path(worker_id))
-            if not shard.exists():
-                return set()
             try:
-                return set(shard.completed_summaries(names))
+                logged = journal.shard(worker_id).logged(names)
             except CheckpointError:
                 return set()
+            return {summary["program"] for summary in logged}
 
         def handle_death(worker_id: int) -> None:
             nonlocal next_chunk_id, total_respawns, unproductive_respawns
@@ -875,8 +847,8 @@ class ParallelExecutor:
         journal: BatchCheckpoint | None,
     ) -> None:
         """Graceful-interrupt path: let in-flight chunks finish and
-        journal, stop dispatching, fold every shard into the main
-        checkpoint, and leave the pool idle (warm) or terminated.
+        journal, stop dispatching, fold every log into the checkpoint,
+        and leave the pool idle (warm) or terminated.
 
         Called with the interrupt pending; the caller re-raises it once
         the journal is resumable."""
@@ -914,7 +886,7 @@ class ParallelExecutor:
                 pool.terminate()
         except (KeyboardInterrupt, SystemExit):
             # A second interrupt mid-drain: stop waiting, kill the pool,
-            # still fold whatever the shards already hold.
+            # still fold whatever the logs already hold.
             pool.terminate()
         finally:
             if journal is not None:

@@ -7,10 +7,16 @@ artifacts ``repro convert`` takes on the shell, normalized by
 :func:`validate_submission`.  The :class:`JobManager` owns a bounded
 queue of jobs, one executor thread draining it, and a *spool*
 directory in which every job keeps its manifest (``job.json``), its
-batch checkpoint (``checkpoint.json``, the same journal format the
-CLI writes), and its report artifact (``report.json``) -- all written
-through :func:`repro.jsonio.write_json_atomic`, so a crash at any
-instant leaves parseable state.
+batch checkpoint (``checkpoint.json``, the same journal the CLI
+writes), and its report artifact (``report.json``).  The manifest and
+report are written through :func:`repro.jsonio.write_json_atomic`;
+the checkpoint is the batch layer's journal: while the job runs,
+settled programs are appended to ``checkpoint.json.log`` (and to
+``checkpoint.json.shard<k>`` by pool workers), folded into
+``checkpoint.json`` once the batch ends or is interrupted.  A crash at
+any instant leaves parseable, resumable state, and
+``GET /jobs/<id>/checkpoint`` serves the folded document even while
+only the logs exist (:meth:`Job.checkpoint_bytes`).
 
 Execution routes through the public facade
 (:func:`repro.api.build_cascade` + :func:`repro.api.convert_batch`),
@@ -44,6 +50,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro import api
+from repro.batch import BatchCheckpoint
 from repro.core.report import ConversionReport
 from repro.errors import ReproError
 from repro.jsonio import write_json_atomic
@@ -209,6 +216,14 @@ class Job:
     @property
     def report_path(self) -> Path:
         return self.dir / "report.json"
+
+    def checkpoint_bytes(self) -> bytes | None:
+        """The checkpoint as the batch's fold writes it, or ``None``
+        before the first program settles.  A running job -- or one
+        whose server was killed -- has journal logs but no folded
+        document yet; they are folded here in memory, writing
+        nothing."""
+        return BatchCheckpoint(self.checkpoint_path).render()
 
     # -- state ---------------------------------------------------------
 

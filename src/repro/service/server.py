@@ -19,7 +19,9 @@ GET       ``/jobs/<id>/events``    the job's server-sent-event stream:
                                    then live until the job is terminal
 GET       ``/jobs/<id>/report``    the report artifact -- byte-identical
                                    to ``repro convert --report-json``
-GET       ``/jobs/<id>/checkpoint``  the batch journal (resumable)
+GET       ``/jobs/<id>/checkpoint``  the batch journal (resumable),
+                                   folded from its logs while the job
+                                   runs
 GET       ``/healthz``             liveness + queue stats
 ========  =======================  =======================================
 
@@ -42,6 +44,7 @@ from pathlib import Path
 from typing import Any
 
 from repro import __version__
+from repro.batch import CheckpointError
 from repro.service.jobs import (
     JobManager,
     QueueFullError,
@@ -101,6 +104,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
         try:
             body = path.read_bytes()
         except OSError:
+            body = None
+        self._send_bytes(body, missing)
+
+    def _send_bytes(self, body: bytes | None, missing: str) -> None:
+        """A JSON artifact's bytes as they are, or ``404`` with
+        ``missing`` when there is none yet."""
+        if body is None:
             self._send_error_json(404, missing)
             return
         self.send_response(200)
@@ -141,7 +151,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self._send_artifact(job.report_path, missing)
             elif tail == "checkpoint":
                 missing = f"job {job.id} has no checkpoint yet (state: {job.state})"
-                self._send_artifact(job.checkpoint_path, missing)
+                try:
+                    body = job.checkpoint_bytes()
+                except CheckpointError as exc:
+                    self._send_error_json(500, str(exc))
+                    return
+                self._send_bytes(body, missing)
             else:
                 self._send_error_json(404, f"unknown resource: {self.path}")
             return

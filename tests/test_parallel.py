@@ -167,9 +167,9 @@ class TestFastPathAndResume:
         # Fabricate the crash state: shards journaled, no main file.
         crashed = tmp_path / "crashed.json"
         journal = BatchCheckpoint(crashed)
-        journal.shard(0).write_summaries(
+        journal.shard(0).write(
             names, [reference.reports[0].to_summary()])
-        journal.shard(1).write_summaries(
+        journal.shard(1).write(
             names, [reference.reports[1].to_summary()])
 
         resumed = run_parallel_batch(
@@ -408,18 +408,22 @@ class TestJournalPlumbing:
     def test_shard_paths_are_ordered_and_filtered(self, tmp_path):
         journal = BatchCheckpoint(tmp_path / "c.json")
         assert journal.shard_path(3).name == "c.json.shard3"
-        journal.shard(10).write_summaries(["P"], [])
-        journal.shard(2).write_summaries(["P"], [])
+        journal.shard(10).write(["P"], [])
+        journal.shard(2).write(["P"], [])
         (tmp_path / "c.json.shardX").write_text("not a shard")
         assert [p.name for p in journal.shard_paths()] == \
             ["c.json.shard2", "c.json.shard10"]
 
     def test_clear_removes_shards_too(self, tmp_path):
         journal = BatchCheckpoint(tmp_path / "c.json")
-        journal.write_summaries(["P"], [])
-        journal.shard(0).write_summaries(["P"], [])
+        journal.write(["P"], [])
+        journal.merge_shards(["P"])
+        journal.write(["P"], [])
+        journal.shard(0).write(["P"], [])
+        assert journal.exists()
         journal.clear()
         assert not journal.exists()
+        assert not journal.log_paths()
         assert not journal.shard_paths()
 
     def test_invalid_jobs_rejected(self):

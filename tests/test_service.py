@@ -418,6 +418,34 @@ def test_http_report_404_before_completion(service, monkeypatch):
         gate.set()
 
 
+def test_http_checkpoint_while_the_job_runs(service, monkeypatch, tmp_path):
+    """Mid-batch the job has a journal log but no folded checkpoint;
+    the endpoint serves the fold of the log -- the bytes the batch's
+    compaction would write -- and writes nothing itself."""
+    gate = threading.Event()
+    entered = threading.Event()
+
+    def block(job, report):
+        entered.set()
+        gate.wait(timeout=30.0)
+
+    monkeypatch.setattr(jobs_mod, "_after_program", block)
+    try:
+        _, job = post_json(service, "/jobs", submission())
+        assert entered.wait(timeout=30.0)
+        checkpoint_path = service.manager.jobs[job["id"]].checkpoint_path
+        served = get_bytes(service, job["links"]["checkpoint"])
+        assert not checkpoint_path.exists()
+    finally:
+        gate.set()
+    assert wait_terminal(service.manager.jobs[job["id"]]) == "completed"
+
+    _, checkpoint_bytes = cli_reference_run(tmp_path)
+    final = json.loads(checkpoint_bytes)
+    partial = dict(final, completed=final["completed"][:1])
+    assert served == (json.dumps(partial, indent=2) + "\n").encode()
+
+
 # -- graceful shutdown and resume -------------------------------------
 
 

@@ -388,7 +388,7 @@ class TestRespawnBudget:
         fake_summaries = [{"program": name, "status": "converted"}
                           for name in names]
         for worker_id in range(6):
-            journal.shard(worker_id).write_summaries(names, fake_summaries)
+            journal.shard(worker_id).write(names, fake_summaries)
 
         class FakePool:
             jobs = 2
