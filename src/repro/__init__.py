@@ -54,7 +54,7 @@ from repro.errors import (
 from repro.options import ConversionOptions
 from repro.parallel import ParallelExecutionError, ParallelExecutor, WorkerPool
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     # -- facade (repro.api) -------------------------------------------

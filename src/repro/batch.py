@@ -69,6 +69,13 @@ from repro.strategies.cascade import FallbackCascade
 
 CHECKPOINT_VERSION = 1
 
+#: How many times a single program may kill its worker process before
+#: it is quarantined with a synthesized ``STATUS_QUARANTINED`` report
+#: instead of being retried.  The serial engine (:func:`convert_one`)
+#: and the parallel scheduler both read it, so quarantine reports are
+#: byte-identical at any jobs count.
+MAX_PROGRAM_RETRIES = 2
+
 #: Per-program progress callback: ``(report, done, total, resumed)``.
 #: ``done`` counts settled programs (converted, failed, quarantined,
 #: or recovered from a checkpoint), ``total`` is the batch size, and
@@ -453,7 +460,7 @@ def convert_one(cascade: FallbackCascade, program: Program,
     ``options.program_timeout`` arms the interpreter's cooperative
     deadline around each attempt, and a :class:`WorkerKilled` fault
     (the serial stand-in for a worker process dying) is retried up to
-    ``options.max_program_retries`` times before the program is
+    :data:`MAX_PROGRAM_RETRIES` times before the program is
     quarantined -- mirroring, attempt for attempt, what the parallel
     coordinator does when a real worker dies, so quarantine reports
     are byte-identical at any jobs count.  In a pool worker a kill
@@ -462,7 +469,6 @@ def convert_one(cascade: FallbackCascade, program: Program,
     source_sp = cascade.source_db.savepoint()
     target_sp = cascade.target_db.savepoint()
     plan = options.fault_plan
-    retries = max(1, options.max_program_retries)
     kills = 0
     while True:
         try:
@@ -479,7 +485,7 @@ def convert_one(cascade: FallbackCascade, program: Program,
             cascade.source_db.rollback(source_sp)
             cascade.target_db.rollback(target_sp)
             kills += 1
-            if kills >= retries:
+            if kills >= MAX_PROGRAM_RETRIES:
                 named_counters("supervision").bump("quarantined")
                 return quarantine_report(program.name, kills, plan)
             continue

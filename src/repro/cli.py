@@ -357,8 +357,7 @@ def cmd_serve(args) -> int:
     from repro.service.server import serve
 
     return serve(args.spool, host=args.host, port=args.port,
-                 queue_limit=args.queue_limit,
-                 warm_pools=not args.no_warm_pools)
+                 queue_limit=args.queue_limit)
 
 
 def cmd_rules_validate(args) -> int:
@@ -593,12 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--queue-limit", type=int, default=16,
                      help="maximum queued jobs before POST /jobs "
                           "answers 503 (default: 16)")
-    sub.add_argument("--no-warm-pools", action="store_true",
-                     help="disable the shared warm-state caches "
-                          "(worker pool and built cascade); each job "
-                          "rebuilds its probe databases and each "
-                          "parallel job spawns and tears down its own "
-                          "pool")
     sub.set_defaults(handler=cmd_serve)
 
     sub = subparsers.add_parser(

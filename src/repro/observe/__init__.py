@@ -42,7 +42,6 @@ from repro.observe.merge import (
     worker_root,
 )
 from repro.observe.registry import (
-    FrozenMetricsSource,
     MetricsRegistry,
     NamedCounters,
     get_registry,
@@ -65,7 +64,6 @@ from repro.observe.tracing import (
 
 __all__ = [
     "EVENT_COUNTER_PREFIXES",
-    "FrozenMetricsSource",
     "MetricsRegistry",
     "NamedCounters",
     "NULL_SPAN",

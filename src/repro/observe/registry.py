@@ -127,24 +127,6 @@ class NamedCounters:
         get_registry().register(self)
 
 
-class FrozenMetricsSource:
-    """An immutable ``{name: value}`` bag exposed as a registry source.
-
-    The parallel coordinator absorbs each worker's registry delta by
-    wrapping it in one of these and registering it: the worker's counts
-    then sum into the coordinator's aggregate view exactly as if the
-    work had run in-process.  The registry holds sources weakly, so the
-    absorber must keep a strong reference for as long as the counts
-    should remain visible.
-    """
-
-    def __init__(self, counts: dict[str, int]):
-        self._counts = dict(counts)
-
-    def metrics_items(self) -> Iterable[tuple[str, int]]:
-        return iter(self._counts.items())
-
-
 #: The process-wide registry every bundle registers into by default.
 _GLOBAL = MetricsRegistry()
 
@@ -171,7 +153,7 @@ def named_counters(namespace: str) -> NamedCounters:
     weak registration never drops it, and returns the same instance for
     the life of the process (in a worker, that is the worker process:
     its movement reaches the coordinator through the registry delta
-    shipped at flush).
+    shipped with every chunk result, see :func:`absorb_counts`).
     """
     with _NAMED_LOCK:
         counters = _NAMED.get(namespace)
@@ -179,3 +161,17 @@ def named_counters(namespace: str) -> NamedCounters:
             counters = NamedCounters(namespace)
             _NAMED[namespace] = counters
         return counters
+
+
+def absorb_counts(counts: dict[str, int]) -> None:
+    """Add counter movement measured in another process to this one.
+
+    The parallel coordinator absorbs each pool worker's registry delta
+    here: every ``namespace.name`` count is bumped into the
+    process-wide :func:`named_counters` bag for its namespace, so the
+    worker's counts sum into the coordinator's snapshots exactly as if
+    the work had run in-process, for the life of the process.
+    """
+    for name, value in counts.items():
+        namespace, _, counter = name.partition(".")
+        named_counters(namespace).bump(counter, value)

@@ -117,26 +117,6 @@ class ConversionOptions:
     #: in-worker alike, so timeout reports stay byte-identical at any
     #: jobs count).  ``None`` disables the watchdog.
     program_timeout: float | None = None
-    #: How many consecutive worker respawns the coordinator tolerates
-    #: without any progress (a completed chunk, a quarantine decision,
-    #: or a narrowed suspect chunk) before the batch fails with
-    #: :class:`~repro.parallel.ParallelExecutionError`.  Guards against
-    #: a crash-looping pool (e.g. seed state that cannot rehydrate).
-    max_worker_respawns: int = 3
-    #: How many times a single program may kill its worker process
-    #: before it is quarantined with a synthesized
-    #: ``STATUS_QUARANTINED`` report instead of being re-dealt.  The
-    #: serial engine applies the same retry count, so quarantine
-    #: reports are byte-identical at any jobs count.
-    max_program_retries: int = 2
-    #: Coordinator result-queue poll interval in seconds; every poll
-    #: timeout re-checks worker health, so this bounds dead-worker
-    #: detection latency.
-    poll_interval: float = 0.2
-    #: Budget in seconds for the graceful-interrupt drain: in-flight
-    #: chunks get this long to finish and journal before the pool is
-    #: terminated.
-    drain_timeout: float = 30.0
 
     # -- engine knobs -------------------------------------------------
     #: Maintain and use secondary indexes in databases the API builds.

@@ -25,33 +25,43 @@ long-lived worker processes:
   auto-degrade to the in-process path (and say why at INFO level) --
   ``--jobs 8`` on a tiny batch must not cost 35x;
 * Ctrl-C / SIGTERM inside the pool window **drains** gracefully: no
-  new chunks are dispatched, in-flight chunks finish and are
-  journaled, every log is folded into the checkpoint, and the
-  interrupt is re-raised with a resumable journal on disk;
-* the coordinator **supervises** the pool: a dead worker's in-flight
-  chunks are reclaimed from the dealt-chunk ledger and re-dealt, a
-  replacement worker is respawned (exponential backoff with
-  deterministic, seed-stable jitter; bounded by
-  ``options.max_worker_respawns`` consecutive respawns without
+  new chunks are dispatched, in-flight chunks get
+  :data:`DRAIN_SECONDS` to finish and journal, every log is folded
+  into the checkpoint, and the interrupt is re-raised with a
+  resumable journal on disk;
+* the coordinator **supervises** the pool.  Every decision is made by
+  the I/O-free :class:`Scheduler`; :class:`ParallelExecutor` polls the
+  result queue every :data:`POLL_SECONDS` and carries the decisions
+  out.  A dead worker's in-flight chunks are reclaimed from the
+  dealt-chunk ledger and re-dealt, a replacement worker is respawned
+  (exponential backoff with deterministic, seed-stable jitter; bounded
+  by :data:`MAX_WORKER_RESPAWNS` consecutive respawns without
   progress), a chunk that keeps killing workers is bisected until the
   poison program is isolated, and a program that individually kills a
-  worker ``options.max_program_retries`` times is **quarantined** with
-  a synthesized ``STATUS_QUARANTINED`` report -- the batch completes
-  instead of raising.  ``options.program_timeout`` arms the
-  interpreter's cooperative watchdog so a hung program times out with
-  the same deterministic report serially and in-worker.
+  worker :data:`repro.batch.MAX_PROGRAM_RETRIES` times is
+  **quarantined** with a synthesized ``STATUS_QUARANTINED`` report --
+  the batch completes instead of raising.  ``options.program_timeout``
+  arms the interpreter's cooperative watchdog so a hung program times
+  out with the same deterministic report serially and in-worker.
 
 The deterministic merge is unchanged from the spawn-per-batch
 executor: report summaries come back through the exact render/parse
 round trip and are reassembled in program order, per-program metrics
-are reattached, worker registry deltas are absorbed via
-:class:`~repro.observe.registry.FrozenMetricsSource`, worker span
-forests mount under per-worker ``parallel.worker`` roots, and the
-shards, together with the coordinator's quarantine records, fold into
-the checkpoint in program order through the serial engine's fold step
+are reattached, and the shards, together with the coordinator's
+quarantine records, fold into the checkpoint in program order through
+the serial engine's fold step
 (:meth:`repro.batch.BatchCheckpoint.merge_shards`) -- so reports,
 checkpoint bytes, and metrics are byte-identical to a serial run at
 any worker count, any chunk size, and any dispatch interleaving.
+Every chunk result also carries its worker's registry delta since the
+batch began and the spans it closed since its previous chunk.  The
+coordinator keeps each worker's latest delta (it is cumulative, so a
+re-dealt duplicate cannot count twice), adds it into the process-wide
+named counters (:func:`~repro.observe.registry.absorb_counts`), and
+mounts worker span forests under per-worker ``parallel.worker`` roots.
+A batch ends when every program has settled and no chunk is in
+flight, so a warm pool never carries a duplicate result into the next
+batch.
 
 ``jobs=1`` (or a batch with at most one pending program) takes the
 in-process fast path: no pool, no pickling, no subprocess -- just the
@@ -70,9 +80,10 @@ from collections import deque
 from contextlib import contextmanager
 from multiprocessing import get_context
 from queue import Empty
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.batch import (
+    MAX_PROGRAM_RETRIES,
     BatchCheckpoint,
     CheckpointError,
     ProgressCallback,
@@ -87,7 +98,7 @@ from repro.errors import ReproError
 from repro.faultinject import mark_worker_process
 from repro.observe.merge import merge_worker_trace
 from repro.observe.registry import (
-    FrozenMetricsSource,
+    absorb_counts,
     get_registry,
     named_counters,
     registry_delta,
@@ -105,14 +116,19 @@ log = logging.getLogger(__name__)
 #: chunks for dynamic rebalancing.
 PREFILL = 2
 
-#: Result-queue poll interval; every timeout re-checks worker health.
-#: Historic default -- the live value is ``options.poll_interval``.
+#: Result-queue poll interval in seconds; every timeout re-checks
+#: worker health, so this bounds dead-worker detection latency.
 POLL_SECONDS = 0.2
 
-#: Budget for the graceful-interrupt drain: in-flight chunks get this
-#: long to finish and journal before the pool is terminated.  Historic
-#: default -- the live value is ``options.drain_timeout``.
+#: Budget in seconds for the graceful-interrupt drain: in-flight chunks
+#: get this long to finish and journal before the pool is terminated.
 DRAIN_SECONDS = 30.0
+
+#: Consecutive respawns without progress (a completed chunk, a
+#: quarantine decision, or a narrowed suspect chunk) tolerated before
+#: the batch fails with :class:`ParallelExecutionError`: the guard
+#: against a crash-looping pool, e.g. seed state that cannot rehydrate.
+MAX_WORKER_RESPAWNS = 3
 
 #: How long ``close()`` waits for a worker to exit before terminating.
 CLOSE_SECONDS = 5.0
@@ -124,6 +140,9 @@ CLOSE_SECONDS = 5.0
 RESPAWN_BACKOFF_BASE = 0.02
 RESPAWN_BACKOFF_CAP = 1.0
 
+#: A dispatch unit: ``(chunk_id, programs)``.
+Chunk = tuple[int, list[Program]]
+
 
 class ParallelExecutionError(ReproError):
     """The worker pool could not finish the batch.
@@ -131,11 +150,12 @@ class ParallelExecutionError(ReproError):
     Individual worker deaths no longer raise this -- the coordinator
     reclaims the dead worker's chunks, respawns a replacement, and
     quarantines poison programs.  What remains fatal is a pool that
-    crash-loops without making progress (``max_worker_respawns``
-    consecutive respawns with nothing completed, quarantined, or
-    narrowed) or a worker shipping a coordinator-level error.  Any
-    per-worker checkpoint shards already journaled remain on disk, so
-    a ``resume`` run completes only the genuinely unfinished programs.
+    crash-loops without making progress (more than
+    :data:`MAX_WORKER_RESPAWNS` consecutive respawns with nothing
+    completed, quarantined, or narrowed) or a worker shipping a
+    coordinator-level error.  Any per-worker checkpoint shards already
+    journaled remain on disk, so a ``resume`` run completes only the
+    genuinely unfinished programs.
     """
 
 
@@ -146,11 +166,13 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
     (unpickling re-registers the engine metrics bundles into *this*
     process's registry, see
     :meth:`repro.engine.metrics.Metrics.__setstate__`), then serves
-    ``begin`` / ``chunk`` / ``flush`` / ``exit`` messages until told to
-    stop.  SIGINT is ignored: a terminal Ctrl-C reaches the whole
-    process group, and it is the coordinator's drain -- not the
-    signal -- that must stop a worker, *after* its in-flight chunk is
-    journaled.
+    ``begin`` / ``chunk`` / ``exit`` messages until told to stop.  Each
+    chunk result carries, besides the chunk's summaries and metrics,
+    the worker's registry delta since ``begin``, the spans closed since
+    the previous chunk, and the worker's clock base.  SIGINT is
+    ignored: a terminal Ctrl-C reaches the whole process group, and it
+    is the coordinator's drain -- not the signal -- that must stop a
+    worker, *after* its in-flight chunk is journaled.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
@@ -171,7 +193,6 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
     tracer: Tracer | None = None
     before: dict[str, int] = {}
     clock_base = 0.0
-    active = False
 
     while True:
         message = task_queue.get()
@@ -181,37 +202,14 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
         if kind == "begin":
             _, names, checkpoint, trace = message
             journal = (
-                BatchCheckpoint(checkpoint).shard(worker_id)
-                if checkpoint
-                else None
+                BatchCheckpoint(checkpoint).shard(worker_id) if checkpoint else None
             )
             before = registry.snapshot()
-            tracer = Tracer() if trace else None
             if tracer is not None:
-                tracer.__enter__()
-            clock_base = time.perf_counter()
-            active = True
-            continue
-        if kind == "flush":
-            if not active:
-                result_queue.put(("flush", worker_id, {}, [], 0.0))
-                continue
-            if tracer is not None:
+                # Stop recording into the previous batch's tracer.
                 tracer.__exit__(None, None, None)
-            spans = (
-                [root.to_dict() for root in tracer.roots] if tracer else []
-            )
-            result_queue.put(
-                (
-                    "flush",
-                    worker_id,
-                    registry_delta(before, registry.snapshot()),
-                    spans,
-                    clock_base,
-                )
-            )
-            tracer = None
-            active = False
+            tracer = Tracer().__enter__() if trace else None
+            clock_base = time.perf_counter()
             continue
         # ("chunk", chunk_id, programs_blob)
         _, chunk_id, programs_blob = message
@@ -231,12 +229,23 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
             if journal is not None:
                 journal.write(names, chunk_summaries)
         except Exception as exc:  # pragma: no cover - shipped upward
-            result_queue.put(
-                ("error", worker_id, f"{type(exc).__name__}: {exc}")
-            )
+            result_queue.put(("error", worker_id, f"{type(exc).__name__}: {exc}"))
             continue
+        spans = [root.to_dict() for root in tracer.roots] if tracer else []
+        if tracer is not None:
+            tracer.roots.clear()
+        delta = registry_delta(before, registry.snapshot())
         result_queue.put(
-            ("chunk", worker_id, chunk_id, chunk_summaries, chunk_metrics)
+            (
+                "chunk",
+                worker_id,
+                chunk_id,
+                chunk_summaries,
+                chunk_metrics,
+                delta,
+                spans,
+                clock_base,
+            )
         )
 
 
@@ -302,16 +311,11 @@ class WorkerPool:
         """The next worker result (raises ``queue.Empty`` on timeout)."""
         return self._results.get(timeout=timeout)
 
-    def flush(self, worker_id: int) -> None:
-        self.send(worker_id, ("flush",))
-
     # -- health and lifecycle ------------------------------------------
 
     def active_ids(self) -> list[int]:
         """Worker ids currently in service (spawned, not retired)."""
-        return [
-            k for k in range(len(self._procs)) if k not in self.retired
-        ]
+        return [k for k in range(len(self._procs)) if k not in self.retired]
 
     def dead_workers(self) -> list[int]:
         """In-service workers whose process has exited."""
@@ -352,9 +356,7 @@ class WorkerPool:
     def worker_pids(self) -> list[int]:
         """Live worker PIDs (stable across batches: the warmness proof)."""
         return [
-            proc.pid
-            for k, proc in enumerate(self._procs)
-            if k not in self.retired
+            proc.pid for k, proc in enumerate(self._procs) if k not in self.retired
         ]
 
     def close(self) -> None:
@@ -390,6 +392,174 @@ class WorkerPool:
         self.close()
 
 
+class Death(NamedTuple):
+    """The :class:`Scheduler`'s answer to one worker's death."""
+
+    #: Programs to quarantine: each has now killed
+    #: :data:`repro.batch.MAX_PROGRAM_RETRIES` workers on its own.
+    quarantine: list[str]
+    #: Chunks put back in the bag (a bisected chunk counts as two).
+    redealt: int
+    #: Whether to spawn a replacement worker.
+    respawn: bool
+    #: Size of the suspect chunk that was bisected (0: none was).
+    bisected: int
+
+
+class Scheduler:
+    """The worker pool's supervision decisions, free of I/O.
+
+    Owns the *bag* (chunks not yet dealt), each worker's *ledger* (the
+    chunks dealt to it and not yet answered, in the FIFO order it
+    converts them), the programs not yet settled, per-program kill
+    counts, the count of consecutive unproductive respawns, and the
+    respawn ordinal.  :class:`ParallelExecutor` feeds it pool events
+    and carries out its answers; nothing here touches a queue, a
+    process, the clock, a file, or the log, so any schedule of events
+    can be replayed in-process.
+    """
+
+    def __init__(self, programs: list[Program], chunk_size: int):
+        self.bag: deque[Chunk] = deque(
+            enumerate(
+                programs[start : start + chunk_size]
+                for start in range(0, len(programs), chunk_size)
+            )
+        )
+        self.next_chunk_id = len(self.bag)
+        self.ledger: dict[int, deque[Chunk]] = {}
+        #: Names of the programs not yet settled.
+        self.remaining = {program.name for program in programs}
+        #: Program name -> workers it killed while alone in its chunk.
+        self.kills: dict[str, int] = {}
+        #: Deaths in a row, since the last completed chunk, that found
+        #: no unfinished chunk while the bag still held work.
+        self.unproductive = 0
+        #: Replacement workers asked for so far (the jitter's seed).
+        self.respawns = 0
+
+    def add_worker(self, worker_id: int) -> None:
+        """Open an empty ledger for a worker that began the batch."""
+        self.ledger[worker_id] = deque()
+
+    def deal(self, worker_id: int) -> list[Chunk]:
+        """The chunks to send ``worker_id`` now: its ledger topped up
+        to :data:`PREFILL` from the bag (none once every program has
+        settled, or for a worker without a ledger)."""
+        dealt = self.ledger.get(worker_id)
+        chunks: list[Chunk] = []
+        if dealt is None or not self.remaining:
+            return chunks
+        while len(dealt) < PREFILL and self.bag:
+            chunks.append(self.bag.popleft())
+            dealt.append(chunks[-1])
+        return chunks
+
+    def completed(self, worker_id: int, chunk_id: int, names: list[str]) -> list[str]:
+        """Record ``worker_id``'s result for one chunk; return the
+        ``names`` settled for the first time (none for a re-dealt
+        duplicate).  Any result counts as progress."""
+        self.unproductive = 0
+        dealt = self.ledger.get(worker_id, deque())
+        for index, (dealt_id, _chunk) in enumerate(dealt):
+            if dealt_id == chunk_id:
+                del dealt[index]
+                break
+        settled = [name for name in names if name in self.remaining]
+        self.remaining.difference_update(settled)
+        return settled
+
+    def died(self, worker_id: int, journaled: set[str]) -> Death:
+        """Reclaim a dead worker's ledger, given the program names its
+        shard log holds.
+
+        The *suspect* is the first ledger chunk not fully journaled:
+        the worker journals after every chunk and converts its ledger
+        in order, so that is where it died.  A multi-program suspect is
+        bisected at ``(len + 1) // 2``; a program alone in the suspect
+        is charged one kill and quarantined at
+        :data:`~repro.batch.MAX_PROGRAM_RETRIES`.  Every other ledger
+        chunk goes back in the bag.  A replacement is wanted only while
+        the bag holds work.  Raises :class:`ParallelExecutionError`
+        when more than :data:`MAX_WORKER_RESPAWNS` deaths in a row
+        found no suspect: re-dealing cannot fix a crash-looping pool.
+        """
+        dealt = self.ledger.pop(worker_id, deque())
+        if not self.remaining:
+            # Everything settled: the worker held only duplicates.
+            return Death([], 0, False, 0)
+        quarantine: list[str] = []
+        redeal: list[Chunk] = []
+        bisected = 0
+        suspect_found = False
+        for chunk_id, chunk in dealt:
+            if suspect_found or all(p.name in journaled for p in chunk):
+                # Innocent: journaled already (its result may be in
+                # flight or lost with the worker -- re-running is
+                # deterministic) or dealt behind the suspect.
+                redeal.append((chunk_id, chunk))
+                continue
+            suspect_found = True
+            if len(chunk) > 1:
+                # The poison program is in here somewhere; halving
+                # isolates it in O(log n) redeliveries while innocent
+                # neighbours convert on the way.
+                bisected = len(chunk)
+                mid = (len(chunk) + 1) // 2
+                for half in (chunk[:mid], chunk[mid:]):
+                    redeal.append((self.next_chunk_id, half))
+                    self.next_chunk_id += 1
+                continue
+            name = chunk[0].name
+            self.kills[name] = self.kills.get(name, 0) + 1
+            if self.kills[name] < MAX_PROGRAM_RETRIES:
+                redeal.append((chunk_id, chunk))
+            elif name in self.remaining:
+                quarantine.append(name)
+                self.remaining.discard(name)
+            # else: a re-dealt duplicate of a settled program, dropped.
+        self.bag.extend(redeal)
+        if not self.bag:
+            # Nothing to re-deal; surviving workers hold the rest.
+            return Death(quarantine, len(redeal), False, bisected)
+        if not suspect_found:
+            self.unproductive += 1
+            if self.unproductive > MAX_WORKER_RESPAWNS:
+                raise ParallelExecutionError(
+                    f"worker pool is crash-looping: {self.unproductive} "
+                    "consecutive respawns without progress; completed "
+                    "programs are journaled in the checkpoint shards -- "
+                    "rerun with resume to finish the batch"
+                )
+        self.respawns += 1
+        return Death(quarantine, len(redeal), True, bisected)
+
+    def backoff(self) -> float:
+        """Seconds to wait before the respawn :meth:`died` asked for:
+        exponential in the unproductive count, capped, plus a small
+        jitter seeded by the respawn ordinal (seed-stable: chaos
+        replays pace identically; jitter still decorrelates respawn
+        storms when several supervisors share a machine)."""
+        delay = min(
+            RESPAWN_BACKOFF_CAP,
+            RESPAWN_BACKOFF_BASE * (2 ** min(self.unproductive, 6)),
+        )
+        jitter = random.Random(f"respawn:{self.respawns}").uniform(
+            0.0, RESPAWN_BACKOFF_BASE
+        )
+        return delay + jitter
+
+    def in_flight(self) -> set[int]:
+        """Workers holding dealt chunks not yet answered."""
+        return {worker_id for worker_id, dealt in self.ledger.items() if dealt}
+
+    def finished(self) -> bool:
+        """Every program settled and no chunk in flight: the batch-end
+        barrier (a re-dealt duplicate still in flight must not land in
+        a warm pool's next batch)."""
+        return not self.remaining and not self.in_flight()
+
+
 @contextmanager
 def _interrupt_on_sigterm() -> Iterator[None]:
     """Convert SIGTERM into KeyboardInterrupt inside the pool window,
@@ -410,14 +580,37 @@ def _interrupt_on_sigterm() -> Iterator[None]:
         signal.signal(signal.SIGTERM, previous)
 
 
+@contextmanager
+def _signals_held() -> Iterator[None]:
+    """Hold SIGINT and SIGTERM while chunks are dealt, then deliver
+    them: a chunk that entered a worker's ledger but was never queued
+    would keep the interrupt drain waiting until its deadline.  No-op
+    outside the main thread (no signal is handled there)."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    held: list[int] = []
+    previous = {
+        signum: signal.signal(signum, lambda caught, frame: held.append(caught))
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
+    try:
+        yield
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+        for signum in held:
+            signal.raise_signal(signum)
+
+
 class ParallelExecutor:
     """Coordinates a multi-process batch conversion over a warm pool.
 
     The executor owns the deterministic merge: reports come back in
     program order regardless of which worker converted what, checkpoint
     shards fold into the checkpoint in program order, worker metrics
-    are absorbed into the coordinator registry, and worker span forests
-    mount under per-worker roots on the active tracer.
+    are absorbed into the coordinator's named counters, and worker span
+    forests mount under per-worker roots on the active tracer.
 
     Pass ``pool=`` to reuse a :class:`WorkerPool` across batches (the
     caller owns its lifecycle); otherwise the executor spins one up for
@@ -446,9 +639,6 @@ class ParallelExecutor:
         #: drains to a checkpoint that resumes past every reported
         #: program.
         self.progress = progress
-        #: Strong references to absorbed worker deltas (the registry
-        #: holds sources weakly).
-        self.absorbed: list[FrozenMetricsSource] = []
 
     def run(self) -> BatchReport:
         """Convert the batch; equivalent to :func:`run_batch` output."""
@@ -484,345 +674,215 @@ class ParallelExecutor:
         pool = self.pool
         owned = pool is None
         if owned:
-            pool = WorkerPool(
-                self.cascade, options, jobs=min(jobs, len(pending))
-            )
-        trace = current_tracer() is not None
+            pool = WorkerPool(self.cascade, options, jobs=min(jobs, len(pending)))
+        scheduler = Scheduler(
+            pending, options.resolved_chunk_size(len(pending), pool.jobs)
+        )
         coordinator_base = time.perf_counter()
         try:
             with _interrupt_on_sigterm():
                 try:
-                    chunk_results, flushes, quarantined = self._run_pool(
-                        pool, pending, names, journal, trace, done
+                    reports, deltas, forests = self._run_pool(
+                        pool, scheduler, names, journal, done
                     )
                 except (KeyboardInterrupt, SystemExit):
-                    self._drain(pool, names, journal)
+                    self._drain(pool, scheduler, names, journal)
                     raise
         finally:
             if owned:
                 pool.close()
 
-        return self._merge(
-            chunk_results,
-            flushes,
-            names,
-            done,
-            journal,
-            coordinator_base,
-            quarantined,
-        )
+        tracer = current_tracer()
+        for worker_id in sorted(deltas):
+            delta = deltas[worker_id]
+            absorb_counts(delta)
+            clock_base, spans = forests[worker_id]
+            if tracer is not None and spans:
+                cost_attrs = {
+                    name.replace(".", "_"): value
+                    for name, value in delta.items()
+                    if name.startswith("cost.")
+                }
+                merge_worker_trace(
+                    tracer,
+                    worker_id,
+                    spans,
+                    worker_base=clock_base,
+                    coordinator_base=coordinator_base,
+                    **cost_attrs,
+                )
+        missing = [name for name in names if name not in reports]
+        if missing:
+            raise ParallelExecutionError(f"parallel batch lost programs: {missing}")
+        if journal is not None:
+            journal.merge_shards(names)
+        batch = BatchReport()
+        for name in names:
+            batch.add(reports[name])
+        return batch
 
-    # -- the pool ------------------------------------------------------
+    # -- driving the pool ----------------------------------------------
 
     def _run_pool(
         self,
         pool: WorkerPool,
-        pending: list[Program],
+        scheduler: Scheduler,
         names: list[str],
         journal: BatchCheckpoint | None,
-        trace: bool,
         done: dict[str, ConversionReport],
     ) -> tuple[
-        list[tuple[list[dict], dict, dict]],
-        list[tuple],
         dict[str, ConversionReport],
+        dict[int, dict[str, int]],
+        dict[int, tuple[float, list[dict]]],
     ]:
-        """Dispatch chunks dynamically, supervising the pool.
+        """Feed pool events to ``scheduler`` and carry out its answers
+        until it has :meth:`~Scheduler.finished`.
 
-        Returns ``(chunk_results, flushes, quarantined)``: chunk
-        results in arrival order (the merge re-sorts by program), one
-        flush per surviving worker in worker-id order, and the reports
-        synthesized for quarantined poison programs.
-
-        Supervision: every result-queue poll timeout re-checks worker
-        health.  A dead worker is retired, its dealt-but-unjournaled
-        chunks are reclaimed from the ledger and re-dealt (the first
-        chunk not fully present in its shard journal is the suspect:
-        shards are journaled after every chunk, so that is exactly
-        where the worker died), suspect chunks are bisected until the
-        poison program is isolated, and a program whose chunk-of-one
-        kills ``options.max_program_retries`` workers is quarantined
-        with the same synthesized report the serial engine produces.
-        A replacement worker is respawned under backoff whenever
-        re-dealt work exists; ``options.max_worker_respawns``
-        consecutive respawns without progress (a chunk completed,
-        quarantined, or narrowed) fail the batch instead of
-        crash-looping forever.
+        Returns ``(reports, deltas, forests)``: every program's report
+        by name (journaled, converted, or quarantined), each worker's
+        latest registry delta, and each worker's clock base with the
+        spans it shipped.  Every result-queue poll timeout re-checks
+        worker health (see :meth:`_receive`); a dead worker goes to
+        :meth:`_bury`.
         """
-        options = self.options
-        if options.poll_interval <= 0:
-            raise ValueError(
-                f"poll_interval must be > 0, got {options.poll_interval}"
-            )
-        if options.drain_timeout < 0:
-            raise ValueError(
-                f"drain_timeout must be >= 0, got {options.drain_timeout}"
-            )
-        chunk_size = options.resolved_chunk_size(len(pending), pool.jobs)
-        supervision = named_counters("supervision")
-        retries = max(1, options.max_program_retries)
-
-        bag: deque[tuple[int, list[Program]]] = deque()
-        next_chunk_id = 0
-        for index in range(0, len(pending), chunk_size):
-            bag.append((next_chunk_id, pending[index : index + chunk_size]))
-            next_chunk_id += 1
-
-        #: worker id -> chunks dealt to it and not yet completed, in
-        #: deal order (workers process their queue FIFO).
-        ledger: dict[int, deque[tuple[int, list[Program]]]] = {}
-        kill_counts: dict[str, int] = {}
-        quarantined: dict[str, ConversionReport] = {}
-        remaining = {program.name for program in pending}
-        unproductive_respawns = 0
-        total_respawns = 0
-
-        progress = self.progress
-        total = len(names)
-        settled = 0
-        reported: set[str] = set()
-
-        def notify(report: ConversionReport, resumed: bool = False) -> None:
-            # Once per program, in completion order; re-dealt duplicate
-            # chunk results are filtered on the program name.  Raising
-            # here (the service's cooperative stop) propagates into the
-            # graceful-drain path with the reporting worker's shard
-            # already journaled.
-            nonlocal settled
-            if progress is None or report.program_name in reported:
-                return
-            reported.add(report.program_name)
-            settled += 1
-            progress(report, settled, total, resumed)
-
+        checkpoint = str(journal.path) if journal is not None else None
+        begin = ("begin", names, checkpoint, current_tracer() is not None)
+        reports: dict[str, ConversionReport] = {}
+        deltas: dict[int, dict[str, int]] = {}
+        forests: dict[int, tuple[float, list[dict]]] = {}
         for name in names:
             if name in done:
-                notify(done[name], resumed=True)
-
-        def begin(worker_id: int) -> None:
-            checkpoint = str(journal.path) if journal is not None else None
-            pool.send(worker_id, ("begin", names, checkpoint, trace))
-            ledger[worker_id] = deque()
-
-        def fill(worker_id: int) -> None:
-            dealt = ledger.get(worker_id)
-            if dealt is None:
-                return
-            while len(dealt) < PREFILL and bag:
-                chunk_id, chunk = bag.popleft()
-                pool.send(
-                    worker_id, ("chunk", chunk_id, pickle.dumps(chunk))
-                )
-                dealt.append((chunk_id, chunk))
-
-        def quarantine(program: Program) -> None:
-            report = quarantine_report(
-                program.name,
-                kill_counts[program.name],
-                options.fault_plan,
-            )
-            quarantined[program.name] = report
-            remaining.discard(program.name)
-            supervision.bump("quarantined")
-            if journal is not None:
-                # Quarantined programs never complete in any worker:
-                # the coordinator appends their records to the batch
-                # log, which the fold reads with the shards.
-                journal.write(names, [report.to_summary()])
-            notify(report)
-            log.warning(
-                "parallel: quarantined %s after it killed %d worker(s)",
-                program.name,
-                kill_counts[program.name],
-            )
-
-        def journaled_names(worker_id: int) -> set[str]:
-            # What the dead worker durably finished: it appends to its
-            # shard after every chunk, so the first dealt chunk not
-            # fully present in it is where the worker died.
-            if journal is None:
-                return set()
-            try:
-                logged = journal.shard(worker_id).logged(names)
-            except CheckpointError:
-                return set()
-            return {summary["program"] for summary in logged}
-
-        def handle_death(worker_id: int) -> None:
-            nonlocal next_chunk_id, total_respawns, unproductive_respawns
-            dealt = ledger.pop(worker_id, None) or deque()
-            pool.retire(worker_id)
-            finished = journaled_names(worker_id)
-            progressed = False
-            suspect_found = False
-            for chunk_id, chunk in dealt:
-                complete = all(p.name in finished for p in chunk)
-                if not suspect_found and not complete:
-                    # The chunk the worker died inside.
-                    suspect_found = True
-                    progressed = True
-                    if len(chunk) == 1:
-                        program = chunk[0]
-                        kill_counts[program.name] = (
-                            kill_counts.get(program.name, 0) + 1
-                        )
-                        if kill_counts[program.name] >= retries:
-                            quarantine(program)
-                        else:
-                            bag.append((chunk_id, chunk))
-                            supervision.bump("chunks_redealt")
-                    else:
-                        # Bisect: the poison program is in here
-                        # somewhere; halving isolates it in O(log n)
-                        # redeliveries while innocent neighbours
-                        # convert on the way.
-                        mid = (len(chunk) + 1) // 2
-                        log.warning(
-                            "parallel: worker %d died in a %d-program "
-                            "chunk; bisecting for the poison program",
-                            worker_id,
-                            len(chunk),
-                        )
-                        for half in (chunk[:mid], chunk[mid:]):
-                            bag.append((next_chunk_id, half))
-                            next_chunk_id += 1
-                            supervision.bump("chunks_redealt")
-                else:
-                    # Innocent: journaled already (its result may be in
-                    # flight or lost with the worker -- re-running is
-                    # deterministic and the merge dedups by name) or
-                    # dealt behind the suspect and never started.
-                    bag.append((chunk_id, chunk))
-                    supervision.bump("chunks_redealt")
-            if not bag:
-                # Nothing to re-deal; surviving workers hold the rest.
-                return
-            if not progressed:
-                # Died holding no unfinished work: the canary of a
-                # crash-looping pool (e.g. seed state that cannot
-                # rehydrate), which re-dealing cannot fix.
-                unproductive_respawns += 1
-                if unproductive_respawns > max(
-                    0, options.max_worker_respawns
-                ):
-                    raise ParallelExecutionError(
-                        f"worker pool is crash-looping: "
-                        f"{unproductive_respawns} consecutive respawns "
-                        "without progress; completed programs are "
-                        "journaled in the checkpoint shards -- rerun "
-                        "with resume to finish the batch"
-                    )
-            total_respawns += 1
-            supervision.bump("respawns")
-            self._backoff(total_respawns, unproductive_respawns)
-            replacement = pool.respawn()
-            log.warning(
-                "parallel: worker %d died; respawned replacement %d "
-                "(%d chunk(s) re-dealt)",
-                worker_id,
-                replacement,
-                len(bag),
-            )
-            begin(replacement)
-            fill(replacement)
-
+                self._settle(reports, done[name], resumed=True)
         if not pool.active_ids():
             # A warm external pool whose every worker was retired by a
             # previous chaotic batch: revive it to full strength.
             for _ in range(pool.jobs):
                 pool.respawn()
         for worker_id in pool.active_ids():
-            begin(worker_id)
-        for worker_id in pool.active_ids():
-            fill(worker_id)
+            self._start(pool, scheduler, worker_id, begin)
 
-        chunk_results: list[tuple[list[dict], dict]] = []
-        while remaining:
+        while not scheduler.finished():
             message = self._receive(pool)
             kind = message[0]
             if kind == "dead":
                 for worker_id in message[1]:
-                    handle_death(worker_id)
+                    replacement = self._bury(
+                        pool, scheduler, worker_id, names, journal, reports
+                    )
+                    if replacement is not None:
+                        self._start(pool, scheduler, replacement, begin)
                 for worker_id in pool.active_ids():
-                    fill(worker_id)
+                    self._deal(pool, scheduler, worker_id)
             elif kind == "chunk":
-                _, worker_id, chunk_id, summaries, metrics = message
-                chunk_results.append((summaries, metrics))
-                unproductive_respawns = 0
-                dealt = ledger.get(worker_id)
-                if dealt is not None:
-                    for index, (dealt_id, _chunk) in enumerate(dealt):
-                        if dealt_id == chunk_id:
-                            del dealt[index]
-                            break
+                _, worker_id, chunk_id, summaries, metrics = message[:5]
+                delta, spans, clock_base = message[5:]
+                deltas[worker_id] = delta
+                forests.setdefault(worker_id, (clock_base, []))[1].extend(spans)
+                converted = [summary["program"] for summary in summaries]
+                fresh = set(scheduler.completed(worker_id, chunk_id, converted))
                 for summary in summaries:
-                    remaining.discard(summary["program"])
-                if progress is not None:
-                    for summary in summaries:
-                        if summary["program"] in reported:
-                            continue
-                        report = ConversionReport.from_summary(summary)
-                        raw = metrics.get(report.program_name)
-                        report.metrics = dict(raw) if raw is not None else None
-                        notify(report)
-                fill(worker_id)
-            elif kind == "flush":  # pragma: no cover - defensive
-                continue
+                    if summary["program"] not in fresh:
+                        continue
+                    report = ConversionReport.from_summary(summary)
+                    raw = metrics.get(report.program_name)
+                    report.metrics = dict(raw) if raw is not None else None
+                    self._settle(reports, report)
+                self._deal(pool, scheduler, worker_id)
             else:  # ("error", worker_id, detail)
                 raise ParallelExecutionError(
                     f"worker {message[1]} failed: {message[2]}; "
                     "completed programs are journaled in the checkpoint "
                     "shards -- rerun with resume to finish the batch"
                 )
+        return reports, deltas, forests
 
-        # Every program is accounted for; flush the survivors for
-        # their observability deltas (metrics, spans).
-        expected = set(pool.active_ids())
-        for worker_id in sorted(expected):
-            pool.flush(worker_id)
-        flushes: dict[int, tuple] = {}
-        while expected - set(flushes):
-            message = self._receive(pool)
-            kind = message[0]
-            if kind == "flush":
-                if message[1] in expected:
-                    flushes[message[1]] = message
-            elif kind == "chunk":
-                # A re-dealt duplicate whose original result raced the
-                # end of the batch; keep it -- the merge dedups.
-                chunk_results.append((message[3], message[4]))
-            elif kind == "dead":
-                for worker_id in message[1]:
-                    pool.retire(worker_id)
-                    if worker_id in expected:
-                        expected.discard(worker_id)
-                        log.warning(
-                            "parallel: worker %d died during flush; "
-                            "its observability delta is lost",
-                            worker_id,
-                        )
-            else:  # pragma: no cover - defensive
-                raise ParallelExecutionError(
-                    f"worker {message[1]} failed during flush: "
-                    f"{message[2]}"
-                )
-        ordered_flushes = [flushes[k] for k in sorted(flushes)]
-        return chunk_results, ordered_flushes, quarantined
+    def _settle(
+        self,
+        reports: dict[str, ConversionReport],
+        report: ConversionReport,
+        resumed: bool = False,
+    ) -> None:
+        """Record a program's final report and narrate it.  Raising
+        from the progress callback (the service's cooperative stop)
+        propagates into the graceful-drain path with the reporting
+        worker's shard already journaled."""
+        reports[report.program_name] = report
+        if self.progress is not None:
+            self.progress(report, len(reports), len(self.programs), resumed)
 
-    def _backoff(self, total_respawns: int, unproductive: int) -> None:
-        """Sleep before a respawn: exponential in the consecutive
-        no-progress count, plus a small deterministic jitter seeded by
-        the respawn ordinal (seed-stable: chaos replays pace
-        identically; jitter still decorrelates respawn storms when
-        several supervisors share a machine)."""
-        delay = min(
-            RESPAWN_BACKOFF_CAP,
-            RESPAWN_BACKOFF_BASE * (2 ** min(unproductive, 6)),
+    def _start(
+        self, pool: WorkerPool, scheduler: Scheduler, worker_id: int, begin: tuple
+    ) -> None:
+        """Begin the batch on one worker and deal it its first chunks."""
+        pool.send(worker_id, begin)
+        scheduler.add_worker(worker_id)
+        self._deal(pool, scheduler, worker_id)
+
+    def _deal(self, pool: WorkerPool, scheduler: Scheduler, worker_id: int) -> None:
+        with _signals_held():
+            for chunk_id, chunk in scheduler.deal(worker_id):
+                pool.send(worker_id, ("chunk", chunk_id, pickle.dumps(chunk)))
+
+    def _bury(
+        self,
+        pool: WorkerPool,
+        scheduler: Scheduler,
+        worker_id: int,
+        names: list[str],
+        journal: BatchCheckpoint | None,
+        reports: dict[str, ConversionReport],
+    ) -> int | None:
+        """Retire a dead worker and carry out the scheduler's answer:
+        quarantine poison programs, then spawn a replacement under
+        backoff when one is wanted; return its id."""
+        pool.retire(worker_id)
+        journaled: set[str] = set()
+        if journal is not None:
+            try:
+                logged = journal.shard(worker_id).logged(names)
+            except CheckpointError:
+                logged = []
+            journaled = {summary["program"] for summary in logged}
+        death = scheduler.died(worker_id, journaled)
+        supervision = named_counters("supervision")
+        if death.redealt:
+            supervision.bump("chunks_redealt", death.redealt)
+        if death.bisected:
+            log.warning(
+                "parallel: worker %d died in a %d-program chunk; "
+                "bisecting for the poison program",
+                worker_id,
+                death.bisected,
+            )
+        for name in death.quarantine:
+            report = quarantine_report(
+                name, MAX_PROGRAM_RETRIES, self.options.fault_plan
+            )
+            supervision.bump("quarantined")
+            if journal is not None:
+                # Quarantined programs never complete in any worker:
+                # the coordinator appends their records to the batch
+                # log, which the fold reads with the shards.
+                journal.write(names, [report.to_summary()])
+            self._settle(reports, report)
+            log.warning(
+                "parallel: quarantined %s after it killed %d worker(s)",
+                name,
+                MAX_PROGRAM_RETRIES,
+            )
+        if not death.respawn:
+            return None
+        supervision.bump("respawns")
+        time.sleep(scheduler.backoff())
+        replacement = pool.respawn()
+        log.warning(
+            "parallel: worker %d died; respawned replacement %d "
+            "(%d chunk(s) re-dealt)",
+            worker_id,
+            replacement,
+            death.redealt,
         )
-        jitter = random.Random(f"respawn:{total_respawns}").uniform(
-            0.0, RESPAWN_BACKOFF_BASE
-        )
-        time.sleep(delay + jitter)
+        return replacement
 
     def _receive(self, pool: WorkerPool) -> tuple:
         """Wait for the next worker message, watching pool health.
@@ -834,7 +894,7 @@ class ParallelExecutor:
         for the supervision loop to reclaim and respawn."""
         while True:
             try:
-                return pool.receive(timeout=self.options.poll_interval)
+                return pool.receive(timeout=POLL_SECONDS)
             except Empty:
                 dead = pool.dead_workers()
                 if dead:
@@ -843,47 +903,39 @@ class ParallelExecutor:
     def _drain(
         self,
         pool: WorkerPool,
+        scheduler: Scheduler,
         names: list[str],
         journal: BatchCheckpoint | None,
     ) -> None:
-        """Graceful-interrupt path: let in-flight chunks finish and
-        journal, stop dispatching, fold every log into the checkpoint,
-        and leave the pool idle (warm) or terminated.
+        """Graceful-interrupt path: stop dispatching, wait until no
+        live worker has a chunk in flight (each journals it), fold
+        every log into the checkpoint, and leave the pool idle (warm)
+        or terminated.
 
         Called with the interrupt pending; the caller re-raises it once
         the journal is resumable."""
-        active = set(pool.active_ids())
         log.warning(
             "parallel: interrupted -- draining %d worker(s), "
             "in-flight chunks will be journaled",
-            len(active),
+            len(scheduler.in_flight()),
         )
-        deadline = time.monotonic() + self.options.drain_timeout
+        deadline = time.monotonic() + DRAIN_SECONDS
         try:
-            for worker_id in sorted(active):
-                pool.flush(worker_id)
-            flushed: set[int] = set()
-            while (
-                len(flushed) < len(active)
-                and time.monotonic() < deadline
-            ):
-                try:
-                    message = pool.receive(
-                        timeout=self.options.poll_interval
+            while scheduler.in_flight() - set(pool.dead_workers()):
+                if time.monotonic() >= deadline:
+                    log.warning(
+                        "parallel: drain deadline exceeded; terminating workers"
                     )
+                    pool.terminate()
+                    break
+                try:
+                    message = pool.receive(timeout=POLL_SECONDS)
                 except Empty:
-                    if not set(pool.active_ids()) - set(
-                        pool.dead_workers()
-                    ):
-                        break
                     continue
-                if message[0] == "flush":
-                    flushed.add(message[1])
-            if len(flushed) < len(active):
-                log.warning(
-                    "parallel: drain deadline exceeded; terminating workers"
-                )
-                pool.terminate()
+                if message[0] == "chunk":
+                    _, worker_id, chunk_id, summaries = message[:4]
+                    converted = [summary["program"] for summary in summaries]
+                    scheduler.completed(worker_id, chunk_id, converted)
         except (KeyboardInterrupt, SystemExit):
             # A second interrupt mid-drain: stop waiting, kill the pool,
             # still fold whatever the logs already hold.
@@ -896,79 +948,6 @@ class ParallelExecutor:
                     "resume to finish the batch",
                     journal.path,
                 )
-
-    # -- the deterministic merge --------------------------------------
-
-    def _merge(
-        self,
-        chunk_results: list[tuple[list[dict], dict]],
-        flushes: list[tuple],
-        names: list[str],
-        done: dict[str, ConversionReport],
-        journal: BatchCheckpoint | None,
-        coordinator_base: float,
-        quarantined: dict[str, ConversionReport] | None = None,
-    ) -> BatchReport:
-        by_name: dict[str, ConversionReport] = dict(done)
-        if quarantined:
-            by_name.update(quarantined)
-        for summaries, metrics in chunk_results:
-            for summary in summaries:
-                report = ConversionReport.from_summary(summary)
-                raw_metrics = metrics.get(report.program_name)
-                report.metrics = (dict(raw_metrics)
-                                  if raw_metrics is not None else None)
-                by_name[report.program_name] = report
-        for _, worker_id, delta, spans, clock_base in flushes:
-            self._absorb_registry(delta)
-            self._absorb_trace(worker_id, spans, clock_base, coordinator_base,
-                               delta)
-
-        missing = [name for name in names if name not in by_name]
-        if missing:
-            raise ParallelExecutionError(
-                f"parallel batch lost programs: {missing}"
-            )
-
-        if journal is not None:
-            journal.merge_shards(names)
-
-        batch = BatchReport()
-        for name in names:
-            batch.add(by_name[name])
-        return batch
-
-    def _absorb_registry(self, delta: dict[str, int]) -> None:
-        if not delta:
-            return
-        source = FrozenMetricsSource(delta)
-        self.absorbed.append(source)
-        get_registry().register(source)
-
-    def _absorb_trace(
-        self,
-        worker_id: int,
-        spans: list[dict],
-        clock_base: float,
-        coordinator_base: float,
-        delta: dict[str, int] | None = None,
-    ) -> None:
-        tracer = current_tracer()
-        if tracer is None or not spans:
-            return
-        cost_attrs = {
-            name.replace(".", "_"): value
-            for name, value in (delta or {}).items()
-            if name.startswith("cost.")
-        }
-        merge_worker_trace(
-            tracer,
-            worker_id,
-            spans,
-            worker_base=clock_base,
-            coordinator_base=coordinator_base,
-            **cost_attrs,
-        )
 
 
 def run_parallel_batch(
@@ -985,8 +964,12 @@ def run_parallel_batch(
 
 
 __all__ = [
+    "DRAIN_SECONDS",
+    "MAX_WORKER_RESPAWNS",
+    "POLL_SECONDS",
     "ParallelExecutionError",
     "ParallelExecutor",
+    "Scheduler",
     "WorkerPool",
     "run_parallel_batch",
 ]

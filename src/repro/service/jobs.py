@@ -406,7 +406,6 @@ class JobManager:
         self,
         spool: "str | Path",
         queue_limit: int = 16,
-        warm_pools: bool = True,
     ):
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
@@ -414,7 +413,6 @@ class JobManager:
         self.spool.mkdir(parents=True, exist_ok=True)
         self.queue: "queue.Queue[Job]" = queue.Queue(maxsize=queue_limit)
         self.jobs: dict[str, Job] = {}
-        self.warm_pools = warm_pools
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._pool: tuple[str, WorkerPool] | None = None
@@ -622,8 +620,6 @@ class JobManager:
         over the same application system, and those all hit the same
         key.  A job with a different seed closes the cached pool and
         warms its own."""
-        if not self.warm_pools:
-            return None
         jobs = options.resolved_jobs()
         if jobs <= 1 or pending < options.resolved_parallel_threshold(jobs):
             return None
@@ -651,13 +647,6 @@ class JobManager:
         cascade keeps no per-batch state that reaches report or
         checkpoint bytes."""
         submission = job.submission
-        if not self.warm_pools:
-            return api.build_cascade(
-                submission["ddl"],
-                submission["spec"],
-                data=submission.get("data"),
-                options=options,
-            )
         key = pool_key(submission)
         with self._lock:
             if self._cascade is not None and self._cascade[0] == key:
@@ -677,12 +666,15 @@ class JobManager:
         job.persist()
         submission = job.submission
         registry = get_registry()
-        before = registry.snapshot()
         try:
             options = self._options_for(job)
             cascade = self._cascade_for(job, options)
             programs = [parse_program(text) for text in submission["programs"]]
             pool = self._pool_for(job, cascade, options, len(programs))
+            # After the cache lookups: evicting a cached cascade drops
+            # its counters from the registry, which must not cancel
+            # this job's movement.
+            before = registry.snapshot()
 
             def progress(
                 report: ConversionReport,

@@ -247,11 +247,8 @@ class ConversionService:
         host: str = "127.0.0.1",
         port: int = 8979,
         queue_limit: int = 16,
-        warm_pools: bool = True,
     ):
-        self.manager = JobManager(
-            spool, queue_limit=queue_limit, warm_pools=warm_pools
-        )
+        self.manager = JobManager(spool, queue_limit=queue_limit)
         self.httpd = ThreadingHTTPServer((host, port), ServiceHandler)
         self.httpd.daemon_threads = True
         self.httpd.manager = self.manager  # type: ignore[attr-defined]
@@ -286,7 +283,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8979,
     queue_limit: int = 16,
-    warm_pools: bool = True,
 ) -> int:
     """Run the service until SIGTERM/SIGINT, then drain gracefully.
 
@@ -300,7 +296,6 @@ def serve(
             host=host,
             port=port,
             queue_limit=queue_limit,
-            warm_pools=warm_pools,
         )
     except OSError as exc:
         print(f"repro serve: cannot start: {exc}", file=sys.stderr)

@@ -253,7 +253,7 @@ def test_coordinator_fault_on_the_quarantine_append_resumes_identically(
     plan = FaultPlan((PlannedFault(
         target="source_db", method="calc_index", nth=1,
         program=programs[0].name, kind=KIND_KILL_WORKER),))
-    options = OPTIONS.replace(fault_plan=plan, poll_interval=0.05)
+    options = OPTIONS.replace(fault_plan=plan)
     serial = tmp_path / "serial.json"
     run_batch(fresh_cascade(), programs, options.replace(checkpoint=serial))
 

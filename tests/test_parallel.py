@@ -14,18 +14,27 @@ import gc
 import json
 import logging
 import multiprocessing
+import pickle
+import signal
+import time
 
 import pytest
 
 import repro.batch
 import repro.jsonio
+from repro import api
 from repro.batch import BatchCheckpoint, run_batch
 from repro.faultinject import InjectedFault, inject, plan_faults
 from repro.observe.merge import WORKER_ROOT
 from repro.observe.registry import get_registry
 from repro.observe.tracing import Tracer
 from repro.options import ConversionOptions
-from repro.parallel import ParallelExecutor, WorkerPool, run_parallel_batch
+from repro.parallel import (
+    DRAIN_SECONDS,
+    ParallelExecutor,
+    WorkerPool,
+    run_parallel_batch,
+)
 from repro.programs.interpreter import ProgramInputs
 from repro.restructure import restructure_database
 from repro.strategies.cascade import FallbackCascade
@@ -334,6 +343,41 @@ class TestGracefulInterrupt:
         assert len(resumed.reports) == len(programs)
         assert path.read_bytes() == reference_path.read_bytes()
 
+    def test_a_signal_while_dealing_waits_only_for_queued_chunks(
+            self, tmp_path, monkeypatch):
+        """A Ctrl-C that arrives after a chunk entered a worker's
+        ledger but before it was queued is held until the chunks are
+        queued, so the drain waits only for work the workers really
+        have (not the drain deadline) and the warm pool survives."""
+        programs = corpus_programs(0.0)
+        cascade = fresh_cascade()
+        dumps = pickle.dumps
+        dealt = []
+
+        def dumps_then_ctrl_c(obj, *args, **kwargs):
+            dealt.append(obj)
+            if len(dealt) == 3:  # the first chunk of the second worker
+                signal.raise_signal(signal.SIGINT)
+            return dumps(obj, *args, **kwargs)
+
+        with WorkerPool(cascade, OPTIONS, jobs=2) as pool:
+            path = tmp_path / "batch.json"
+            executor = ParallelExecutor(
+                cascade, programs,
+                OPTIONS.replace(chunk_size=1, checkpoint=path), pool=pool)
+            monkeypatch.setattr(pickle, "dumps", dumps_then_ctrl_c)
+            started = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                executor.run()
+            monkeypatch.undo()
+            assert time.monotonic() - started < DRAIN_SECONDS / 3
+            assert not pool.closed
+            resumed = ParallelExecutor(
+                cascade, programs,
+                OPTIONS.replace(checkpoint=path, resume=True),
+                pool=pool).run()
+            assert len(resumed.reports) == len(programs)
+
     def test_interrupt_on_a_warm_pool_leaves_it_usable(self, tmp_path):
         """Draining an external pool must not kill it: the owner may
         want to resume on the same warm workers."""
@@ -395,13 +439,32 @@ class TestObservabilityMerge:
         executor = ParallelExecutor(fresh_cascade(), programs,
                                     OPTIONS.replace(jobs=2))
         executor.run()
+        del executor
+        gc.collect()
         after = registry.snapshot()
         moved = after.get("engine.records_read", 0) - \
             before.get("engine.records_read", 0)
         assert moved > 0, \
-            "worker engine counters must surface in the coordinator"
-        assert executor.absorbed, \
-            "executor must hold the absorbed sources alive"
+            "worker engine counters must surface in the coordinator " \
+            "and outlive the executor"
+
+    def test_convert_batch_moves_worker_counters_like_serial(self):
+        """Read after ``api.convert_batch`` returns (the executor is
+        gone by then), a pool run moves ``cost.rewrite_skips`` exactly
+        as far as the in-process run."""
+        programs = corpus_programs(0.75, size=8)
+        registry = get_registry()
+        moved = {}
+        for jobs in (1, 2):
+            cascade = fresh_cascade()  # gc.collect()s the previous one
+            before = registry.snapshot()
+            api.convert_batch(cascade, programs, OPTIONS.replace(jobs=jobs))
+            after = registry.snapshot()
+            moved[jobs] = after.get("cost.rewrite_skips", 0) - \
+                before.get("cost.rewrite_skips", 0)
+            del cascade
+        assert moved[1] > 0
+        assert moved[2] == moved[1]
 
 
 class TestJournalPlumbing:

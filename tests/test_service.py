@@ -286,6 +286,36 @@ def test_job_manager_warm_pool_is_shared_across_jobs(tmp_path):
         manager.stop()
 
 
+def test_every_job_emits_its_own_counters(tmp_path):
+    """A job's ``counters`` event is its own registry movement, also
+    when the job evicts the cached cascade (other ``inputs``) and when
+    its worker pool's deltas arrive from other processes."""
+    from repro.programs.ast import render_program
+    from repro.workloads.corpus import CorpusSpec, generate_corpus
+
+    programs = [render_program(item.program) for item in generate_corpus(
+        CorpusSpec(seed=1979, size=8, pathology_rate=0.75))]
+    manager = JobManager(tmp_path / "spool")
+    try:
+        emitted = []
+        for inputs, options in ((["STORE"], {"jobs": 1}),
+                                (["STORE", "STORE"], {"jobs": 1}),
+                                (["STORE"], {"jobs": 2,
+                                             "parallel_threshold": 1})):
+            job = manager.submit({"ddl": FIGURE_4_3_DDL,
+                                  "spec": FIG44_SPEC, "programs": programs,
+                                  "inputs": inputs, "options": options})
+            assert wait_terminal(job) == jobs_mod.STATE_COMPLETED
+            emitted.append([payload["counters"]
+                            for _, name, payload in job.events
+                            if name == "counters"])
+        assert emitted[0] == [{"cost.rewrite_skips": 1}]
+        assert emitted[1] == emitted[0]
+        assert emitted[2] == emitted[0]
+    finally:
+        manager.stop()
+
+
 def test_resume_rejects_running_or_completed(tmp_path):
     manager = JobManager(tmp_path / "spool")
     try:

@@ -15,7 +15,7 @@ import multiprocessing
 
 import pytest
 
-from repro.batch import BatchCheckpoint, run_batch
+from repro.batch import MAX_PROGRAM_RETRIES, BatchCheckpoint, run_batch
 from repro.core.report import STATUS_FAILED, STATUS_QUARANTINED
 from repro.faultinject import (
     FAULT_KINDS,
@@ -30,8 +30,12 @@ from repro.faultinject import (
 from repro.observe.registry import get_registry, registry_delta
 from repro.options import ConversionOptions
 from repro.parallel import (
+    DRAIN_SECONDS,
+    MAX_WORKER_RESPAWNS,
+    POLL_SECONDS,
     ParallelExecutionError,
     ParallelExecutor,
+    Scheduler,
     run_parallel_batch,
 )
 from repro.programs.interpreter import (
@@ -86,8 +90,7 @@ def hang_plan(program_name):
         program=program_name, kind=KIND_HANG),))
 
 
-#: Fast polling so death detection does not dominate test wall-clock.
-CHAOS = OPTIONS.replace(poll_interval=0.05, drain_timeout=5.0)
+CHAOS = OPTIONS
 
 
 def no_workers_left():
@@ -134,14 +137,6 @@ class TestSerialQuarantine:
             [p.name for p in programs])
         assert reports[poison].status == STATUS_QUARANTINED
         assert reports[poison].fault.error_type == "WorkerKilled"
-
-    def test_retry_budget_is_configurable(self):
-        programs = corpus_programs(0.0)
-        poison = programs[0].name
-        options = CHAOS.replace(fault_plan=kill_plan(poison),
-                                max_program_retries=4)
-        batch = run_batch(fresh_cascade(), programs, options)
-        assert "4 time(s)" in batch.reports[0].fault.message
 
 
 class TestParallelChaosMatchesSerial:
@@ -235,7 +230,7 @@ class TestParallelChaosMatchesSerial:
         executor = ParallelExecutor(
             fresh_cascade(), programs,
             CHAOS.replace(fault_plan=plan, jobs=2, chunk_size=1,
-                          drain_timeout=2.0, checkpoint=path))
+                          checkpoint=path))
         with inject(executor, "_receive", nth=2,
                     make_error=KeyboardInterrupt):
             with pytest.raises(KeyboardInterrupt):
@@ -378,64 +373,22 @@ class TestWatchdog:
 
 
 class TestRespawnBudget:
-    def test_crash_looping_pool_fails_with_resume_hint(self, tmp_path):
+    def test_crash_looping_pool_fails_with_resume_hint(self):
         """Deaths that re-deal no *unfinished* work (every dealt chunk
         already journaled) are unproductive; exceeding the budget
         raises instead of respawning forever."""
         programs = corpus_programs(0.0)
-        names = [p.name for p in programs]
-        journal = BatchCheckpoint(tmp_path / "batch.json")
-        fake_summaries = [{"program": name, "status": "converted"}
-                          for name in names]
-        for worker_id in range(6):
-            journal.shard(worker_id).write(names, fake_summaries)
-
-        class FakePool:
-            jobs = 2
-
-            def __init__(self):
-                self._active = [0, 1]
-                self._next = 2
-
-            def active_ids(self):
-                return list(self._active)
-
-            def dead_workers(self):
-                return list(self._active)
-
-            def retire(self, worker_id):
-                self._active.remove(worker_id)
-
-            def respawn(self):
-                worker_id = self._next
-                self._next += 1
-                self._active.append(worker_id)
-                return worker_id
-
-            def send(self, worker_id, message):
-                pass
-
-            def receive(self, timeout):
-                from queue import Empty
-                raise Empty
-
-        executor = ParallelExecutor(
-            fresh_cascade(), programs,
-            CHAOS.replace(max_worker_respawns=1, checkpoint=journal.path))
+        journaled = {p.name for p in programs}
+        scheduler = Scheduler(programs, chunk_size=1)
+        scheduler.add_worker(0)
+        scheduler.deal(0)
+        for worker_id in range(1, MAX_WORKER_RESPAWNS + 1):
+            assert scheduler.died(worker_id - 1, journaled).respawn
+            scheduler.add_worker(worker_id)
+            scheduler.deal(worker_id)
         with pytest.raises(ParallelExecutionError,
                            match="crash-looping.*resume"):
-            executor._run_pool(FakePool(), programs, names, journal,
-                               False, {})
-
-    def test_poll_and_drain_validation(self):
-        executor = ParallelExecutor(fresh_cascade(), [], CHAOS.replace(
-            poll_interval=0.0))
-        with pytest.raises(ValueError, match="poll_interval"):
-            executor._run_pool(object(), [], [], None, False, {})
-        executor = ParallelExecutor(fresh_cascade(), [], CHAOS.replace(
-            drain_timeout=-1.0))
-        with pytest.raises(ValueError, match="drain_timeout"):
-            executor._run_pool(object(), [], [], None, False, {})
+            scheduler.died(MAX_WORKER_RESPAWNS, journaled)
 
 
 class TestFaultPlanKinds:
@@ -496,16 +449,14 @@ class TestOptionsPlumbing:
     def test_supervision_defaults(self):
         options = ConversionOptions()
         assert options.program_timeout is None
-        assert options.max_worker_respawns == 3
-        assert options.max_program_retries == 2
-        assert options.poll_interval == 0.2
-        assert options.drain_timeout == 30.0
+        assert MAX_WORKER_RESPAWNS == 3
+        assert MAX_PROGRAM_RETRIES == 2
+        assert POLL_SECONDS == 0.2
+        assert DRAIN_SECONDS == 30.0
 
     def test_replace_carries_supervision_fields(self):
-        options = ConversionOptions().replace(program_timeout=1.5,
-                                              poll_interval=0.01)
+        options = ConversionOptions().replace(program_timeout=1.5)
         assert options.program_timeout == 1.5
-        assert options.poll_interval == 0.01
         assert options.replace(jobs=2).program_timeout == 1.5
 
 
