@@ -15,14 +15,18 @@ The paper's claims, measured:
   access-path length.
 
 Expected shape: cost(rewrite) < cost(emulation) < cost(bridge) at
-every database size, with the bridge gap growing with size.
+every database size, with the bridge gap growing with size; emulation
+and bridge cost more than the source program's native run, and rewrite
+stays within a constant factor of it.
 """
 
 import pytest
 
 from conftest import make_pair, print_table
 from repro.core.analyzer_db import ConversionAnalyzer
+from repro.engine.metrics import MetricsScope
 from repro.programs import builder as b
+from repro.programs.interpreter import run_program
 from repro.strategies import (
     BridgeStrategy,
     EmulationStrategy,
@@ -31,6 +35,12 @@ from repro.strategies import (
 from repro.workloads import company
 
 SIZES = (10, 40, 160)
+
+#: Rewrite runs the converted program natively on the target, so its
+#: access-path length stays within a small constant factor of the
+#: source program's (~1.7x observed).  4x leaves headroom without
+#: tracking the figure exactly.
+REWRITE_FACTOR = 4
 
 
 def report_program():
@@ -67,11 +77,17 @@ def make_strategies(size):
 
 @pytest.fixture(scope="module")
 def sweep():
-    """costs[size][strategy] over the size sweep."""
+    """costs[size][strategy] over the size sweep, plus ``native``: the
+    source program on the unrestructured database (a native run pays
+    no mapping or materialization work, only record touches)."""
     program = report_program()
     costs: dict[int, dict[str, int]] = {}
     for size in SIZES:
-        costs[size] = {}
+        source_db = company.company_db(seed=1979,
+                                       employees_per_division=size)
+        with MetricsScope(source_db.metrics) as native:
+            run_program(program, source_db, consistent=False)
+        costs[size] = {"native": native.delta.total_accesses()}
         for name, factory in make_strategies(size).items():
             strategy = factory()
             run = strategy.run(program)
@@ -80,16 +96,25 @@ def sweep():
 
 
 def test_cost_ordering_at_every_size(sweep, benchmark):
+    """Converted execution is never free: emulation and bridge cost
+    more than the source program's native run, while rewrite stays
+    within a constant factor of it and below both."""
     benchmark(lambda: {s: dict(v) for s, v in sweep.items()})
     rows = []
     for size in SIZES:
         by_strategy = sweep[size]
-        rows.append((size, by_strategy["rewrite"],
+        native = by_strategy["native"]
+        rows.append((size, native, by_strategy["rewrite"],
                      by_strategy["emulation"], by_strategy["bridge"]))
         assert by_strategy["rewrite"] < by_strategy["emulation"] \
             < by_strategy["bridge"], (size, by_strategy)
+        assert by_strategy["emulation"] > native, (size, by_strategy)
+        assert by_strategy["bridge"] > native, (size, by_strategy)
+        assert by_strategy["rewrite"] <= REWRITE_FACTOR * native, \
+            (size, by_strategy)
     print_table("E5.1 operation-count cost by database size", rows,
-                ("employees/div", "rewrite", "emulation", "bridge"))
+                ("employees/div", "native", "rewrite", "emulation",
+                 "bridge"))
 
 
 def lookup_program():

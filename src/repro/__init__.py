@@ -35,7 +35,6 @@ from repro.api import (
     default_catalog,
     load_rule_catalog,
     load_schema,
-    run_bench,
 )
 from repro.catalog.model import RuleCatalog
 from repro.errors import (
@@ -54,7 +53,7 @@ from repro.errors import (
 from repro.options import ConversionOptions
 from repro.parallel import ParallelExecutionError, ParallelExecutor, WorkerPool
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     # -- facade (repro.api) -------------------------------------------
@@ -62,7 +61,6 @@ __all__ = [
     "convert",
     "convert_batch",
     "load_schema",
-    "run_bench",
     # -- rule catalogs (repro.catalog) --------------------------------
     "RuleCatalog",
     "default_catalog",

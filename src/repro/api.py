@@ -1,10 +1,10 @@
-"""The public facade: the whole pipeline behind four functions.
+"""The public facade: the whole pipeline behind a handful of functions.
 
 Before this module, driving a conversion programmatically meant
 knowing which subsystem owned which kwarg: the supervisor took
 ``target_model=``, the cascade took ``inputs=``, the batch runner took
 ``checkpoint=``/``resume=``, and parallelism did not exist.  The
-facade collapses all of it to four entry points sharing one
+facade collapses all of it to these entry points, sharing one
 :class:`~repro.options.ConversionOptions` value:
 
 * :func:`load_schema` -- DDL text, a path, or a parsed
@@ -13,10 +13,11 @@ facade collapses all of it to four entry points sharing one
   rules-as-data surface: conversion-rule catalogs as values that plug
   into ``ConversionOptions.rule_catalog``;
 * :func:`convert` -- one program through the Figure 4.1 pipeline;
+* :func:`build_cascade` -- the probe databases and fallback cascade a
+  batch validates against;
 * :func:`convert_batch` -- a fault-isolated, checkpointed batch
   through the fallback cascade, serial or multi-process
-  (``options.jobs``);
-* :func:`run_bench` -- the perf suites behind ``repro bench``.
+  (``options.jobs``).
 
 The CLI routes through these functions, so the shell and the API
 cannot drift.
@@ -25,7 +26,7 @@ cannot drift.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.batch import ProgressCallback
 from repro.core.report import BatchReport, ConversionReport
@@ -220,55 +221,6 @@ def convert_batch(
     return batch
 
 
-def run_bench(
-    suite: str = "translate",
-    options: ConversionOptions | None = None,
-    *,
-    seed: int = 1979,
-    smoke: bool = False,
-    sizes: tuple[int, ...] = (1000,),
-    compare_linear: bool = True,
-    out: "str | Path | None" = None,
-) -> dict[str, Any]:
-    """Run one perf suite and return its report dict.
-
-    ``suite`` is ``"translate"`` (the data-translation pipeline,
-    canonical report ``BENCH_translate.json``) or ``"programs"``
-    (strategy overhead, indexed execution, and the parallel batch
-    scaling curve, canonical report ``BENCH_programs.json``).
-    ``smoke`` shrinks every dimension to CI-smoke scale.  With ``out``
-    the report is also written atomically to that path.
-    """
-    del options  # reserved: bench knobs may fold into options later
-    if suite == "programs":
-        from repro.perf import programs as perf_programs
-
-        if smoke:
-            report = perf_programs.run_programs_benchmark(
-                seed=seed,
-                scales=perf_programs.SMOKE_SCALES,
-                corpus_size=perf_programs.SMOKE_PROGRAMS,
-                relational_rows=perf_programs.SMOKE_RELATIONAL_ROWS,
-                relational_statements=perf_programs.SMOKE_RELATIONAL_STATEMENTS,
-                jobs_curve=perf_programs.SMOKE_JOBS_CURVE,
-                parallel_tiers=perf_programs.SMOKE_INVENTORY_TIERS,
-            )
-        else:
-            report = perf_programs.run_programs_benchmark(seed=seed)
-        if out is not None:
-            perf_programs.write_programs_report(report, out)
-        return report
-    if suite == "translate":
-        from repro.perf.harness import run_benchmark, write_report
-
-        run_sizes = [min(sizes)] if smoke else list(sizes)
-        report = run_benchmark(run_sizes, seed=seed, compare_linear=compare_linear)
-        if out is not None:
-            write_report(report, out)
-        return report
-    raise ValueError(f"unknown bench suite {suite!r}")
-
-
 __all__ = [
     "ConversionOptions",
     "ProgressCallback",
@@ -279,5 +231,4 @@ __all__ = [
     "default_catalog",
     "load_rule_catalog",
     "load_schema",
-    "run_bench",
 ]

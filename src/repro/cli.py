@@ -283,46 +283,6 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Run a perf suite and write its machine-readable report:
-    ``translate`` times the pipeline (BENCH_translate.json),
-    ``programs`` runs the workload corpus under the three strategies
-    and the indexed-vs-linear comparison (BENCH_programs.json)."""
-    if args.diff:
-        return _bench_diff(args)
-    if args.suite == "programs":
-        return _bench_programs(args)
-    from repro import api
-    from repro.perf.harness import summarize
-
-    try:
-        sizes = tuple(int(part) for part in args.sizes.split(",") if part)
-    except ValueError:
-        print(f"error: --sizes must be comma-separated integers, "
-              f"got {args.sizes!r}", file=sys.stderr)
-        return 2
-    if not sizes:
-        print("error: --sizes is empty", file=sys.stderr)
-        return 2
-    report = api.run_bench("translate", seed=args.seed, smoke=args.smoke,
-                           sizes=sizes,
-                           compare_linear=not args.no_compare,
-                           out=args.out)
-    print(summarize(report))
-    print(f"wrote {args.out}")
-    return 0
-
-
-def _bench_diff(args) -> int:
-    """Diff two BENCH_*.json reports: config/schema changes are fatal
-    (exit 1), performance regressions warn only (exit 0)."""
-    from repro.perf.diff import diff_report_files, render_markdown
-
-    diff = diff_report_files(args.diff[0], args.diff[1])
-    print(render_markdown(diff), end="")
-    return 0 if diff.ok else 1
-
-
 def cmd_trace_summarize(args) -> int:
     """Render the profile table of a trace file written by
     ``repro convert --trace``."""
@@ -330,20 +290,6 @@ def cmd_trace_summarize(args) -> int:
 
     spans = load_trace(args.file)
     print(render_profile(spans, top=args.top))
-    return 0
-
-
-def _bench_programs(args) -> int:
-    from repro import api
-    from repro.perf import programs as perf_programs
-
-    out = args.out
-    if out == "BENCH_translate.json":  # the translate-suite default
-        out = "BENCH_programs.json"
-    report = api.run_bench("programs", seed=args.seed, smoke=args.smoke,
-                           out=out)
-    print(perf_programs.summarize_programs(report))
-    print(f"wrote {out}")
     return 0
 
 
@@ -530,33 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--data", help="loader program (STOREs)")
     sub.add_argument("--inputs", help="terminal input lines, one per line")
     sub.set_defaults(handler=cmd_check)
-
-    sub = subparsers.add_parser(
-        "bench",
-        help="run a perf suite (translate: BENCH_translate.json; "
-             "programs: BENCH_programs.json)")
-    sub.add_argument("--suite", choices=("translate", "programs"),
-                     default="translate",
-                     help="which suite to run (default: translate)")
-    sub.add_argument("--sizes", default="1000",
-                     help="translate suite: comma-separated total row "
-                          "counts (default: 1000; the full baseline "
-                          "uses 1000,10000)")
-    sub.add_argument("--out", default="BENCH_translate.json",
-                     help="report path (programs suite defaults to "
-                          "BENCH_programs.json)")
-    sub.add_argument("--seed", type=int, default=1979)
-    sub.add_argument("--no-compare", action="store_true",
-                     help="translate suite: skip the linear-scan "
-                          "hierarchical load comparison (it is "
-                          "quadratic by design)")
-    sub.add_argument("--smoke", action="store_true",
-                     help="smallest scales only, for CI smoke runs")
-    sub.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
-                     help="diff two BENCH_*.json reports instead of "
-                          "running a suite (regressions warn, "
-                          "config/schema changes fail)")
-    sub.set_defaults(handler=cmd_bench)
 
     sub = subparsers.add_parser(
         "trace",

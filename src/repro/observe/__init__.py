@@ -29,7 +29,6 @@ answers both questions:
 from repro.observe.export import (
     load_trace,
     profile_rows,
-    profile_summary,
     render_profile,
     spans_from_chrome,
     to_chrome,
@@ -80,7 +79,6 @@ __all__ = [
     "rebase_spans",
     "worker_root",
     "profile_rows",
-    "profile_summary",
     "registry_delta",
     "render_profile",
     "sampled_span",

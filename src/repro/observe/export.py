@@ -169,24 +169,6 @@ def profile_rows(trace: "Tracer | Iterable[Span]") -> list[ProfileRow]:
     return rows
 
 
-def profile_summary(
-    trace: "Tracer | Iterable[Span]", top: int | None = None
-) -> list[dict[str, Any]]:
-    """The profile as JSON-able rows (for ``BENCH_*.json`` reports)."""
-    rows = profile_rows(trace)
-    if top is not None:
-        rows = rows[:top]
-    return [
-        {
-            "name": row.name,
-            "calls": row.calls,
-            "total_seconds": row.total_seconds,
-            "self_seconds": row.self_seconds,
-        }
-        for row in rows
-    ]
-
-
 def render_profile(trace: "Tracer | Iterable[Span]", top: int | None = None) -> str:
     """The human-readable per-phase/per-operator time table.
 

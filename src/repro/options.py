@@ -27,6 +27,9 @@ DEFAULT_OPTIMIZER_PASSES = ("pushdown", "keyed", "calc-locate",
 #: first (Section 2.2), runtime strategies in reserve (Section 2.1.2).
 DEFAULT_STAGE_ORDER = ("rewrite", "emulation", "bridge")
 
+#: The accepted ``strategy_order`` values (see the field below).
+STRATEGY_ORDERS = ("cost", "fixed")
+
 #: Minimum pending programs before a worker pool pays for itself.  The
 #: floor is deliberately generous: spawning an interpreter and
 #: rehydrating the cascade seed costs whole seconds, while a small
@@ -118,9 +121,24 @@ class ConversionOptions:
     #: jobs count).  ``None`` disables the watchdog.
     program_timeout: float | None = None
 
-    # -- engine knobs -------------------------------------------------
-    #: Maintain and use secondary indexes in databases the API builds.
-    use_indexes: bool = True
+    def __post_init__(self) -> None:
+        """Range-check the knobs every entry point trusts, so a bad
+        value fails where it is set, not deep inside a batch."""
+        if self.strategy_order not in STRATEGY_ORDERS:
+            raise ValueError(
+                f"strategy_order must be one of {STRATEGY_ORDERS}, "
+                f"got {self.strategy_order!r}"
+            )
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.chunk_size is not None and self.chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        if self.parallel_threshold is not None and self.parallel_threshold < 0:
+            raise ValueError(
+                f"parallel_threshold must be >= 0, got {self.parallel_threshold}"
+            )
+        if self.program_timeout is not None and self.program_timeout <= 0:
+            raise ValueError(f"program_timeout must be > 0, got {self.program_timeout}")
 
     def replace(self, **changes: Any) -> "ConversionOptions":
         """A copy with the given fields replaced (frozen-safe)."""
@@ -132,18 +150,12 @@ class ConversionOptions:
             import os
 
             return os.cpu_count() or 1
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         return self.jobs
 
     def resolved_chunk_size(self, pending: int, jobs: int) -> int:
         """The effective dispatch chunk size for a batch of ``pending``
         programs across ``jobs`` workers."""
         if self.chunk_size is not None:
-            if self.chunk_size < 1:
-                raise ValueError(
-                    f"chunk_size must be >= 1, got {self.chunk_size}"
-                )
             return self.chunk_size
         slots = max(1, jobs) * 8
         return max(1, min(MAX_AUTO_CHUNK, -(-pending // slots)))
@@ -151,11 +163,6 @@ class ConversionOptions:
     def resolved_parallel_threshold(self, jobs: int) -> int:
         """The minimum pending-corpus size that justifies a pool."""
         if self.parallel_threshold is not None:
-            if self.parallel_threshold < 0:
-                raise ValueError(
-                    f"parallel_threshold must be >= 0, got "
-                    f"{self.parallel_threshold}"
-                )
             return self.parallel_threshold
         return max(2 * jobs, DEFAULT_PARALLEL_THRESHOLD)
 
@@ -166,4 +173,5 @@ __all__ = [
     "DEFAULT_PARALLEL_THRESHOLD",
     "DEFAULT_STAGE_ORDER",
     "MAX_AUTO_CHUNK",
+    "STRATEGY_ORDERS",
 ]

@@ -1,31 +1,9 @@
-"""Performance benchmark harness for the translation pipeline."""
+"""What remains of the retired legacy perf suites.
 
-from repro.perf.harness import (
-    PERF_OPERATOR,
-    build_snapshot,
-    build_source_db,
-    compare_hierarchical_load,
-    perf_schema,
-    run_benchmark,
-    size_split,
-)
-from repro.perf.programs import (
-    compare_relational_execution,
-    run_programs_benchmark,
-    summarize_programs,
-    write_programs_report,
-)
-
-__all__ = [
-    "PERF_OPERATOR",
-    "build_snapshot",
-    "build_source_db",
-    "compare_hierarchical_load",
-    "compare_relational_execution",
-    "perf_schema",
-    "run_benchmark",
-    "run_programs_benchmark",
-    "size_split",
-    "summarize_programs",
-    "write_programs_report",
-]
+Only :mod:`repro.perf.programs` is left: it defines ``BENCH_KINDS``
+and ``corpus_programs``, from which the repository benchmark in
+``bench/`` builds its ``strategy-sweep`` corpus.  The package goes
+away once the benchmark reads those two names from elsewhere.  The
+speedup floors the suites used to assert are ``-m perf`` tests in
+``benchmarks/perf/test_floors.py``.
+"""

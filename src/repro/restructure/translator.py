@@ -129,7 +129,7 @@ class DataSnapshot:
     rows: dict[str, list[dict[str, Any]]] = field(default_factory=dict)
     links: dict[str, list[LinkPair]] = field(default_factory=dict)
     #: When False, owner_of/members_of fall back to the linear scan the
-    #: seed used -- kept so the perf harness can measure the old path.
+    #: seed used -- kept as the reference the index is measured against.
     use_indexes: bool = field(default=True, compare=False)
     stats: SnapshotStats = field(default_factory=SnapshotStats,
                                  compare=False, repr=False)

@@ -146,8 +146,10 @@ def validate_submission(payload: Any) -> dict[str, Any]:
         if not isinstance(value, accepted) or isinstance(value, bool):
             type_names = "/".join(t.__name__ for t in accepted)
             raise SubmissionError(f"option {key!r} must be of type {type_names}")
-    if options.get("strategy_order") not in (None, "cost", "fixed"):
-        raise SubmissionError("option 'strategy_order' must be 'cost' or 'fixed'")
+    try:
+        ConversionOptions(**options)
+    except ValueError as exc:
+        raise SubmissionError(f"invalid option: {exc}") from exc
 
     try:
         api.load_schema(payload["ddl"])
@@ -414,6 +416,10 @@ class JobManager:
         self.queue: "queue.Queue[Job]" = queue.Queue(maxsize=queue_limit)
         self.jobs: dict[str, Job] = {}
         self._lock = threading.Lock()
+        # Held by both producers (submit, resume_job) from their
+        # queue-full check to their put, so the executor, the only
+        # consumer, can free a slot in between but nothing can take it.
+        self._admission = threading.Lock()
         self._stop = threading.Event()
         self._pool: tuple[str, WorkerPool] | None = None
         self._cascade: tuple[str, Any] | None = None
@@ -490,28 +496,21 @@ class JobManager:
         """Validate, spool, and enqueue a new job (or raise
         :class:`SubmissionError` / :class:`QueueFullError`)."""
         submission = validate_submission(payload)
-        with self._lock:
-            job_id = self._next_id()
-            job = Job(job_id, self.spool / job_id, submission)
-            self.jobs[job_id] = job
-        job.dir.mkdir(parents=True, exist_ok=True)
-        # Persist and emit *before* enqueueing: once the executor can
-        # see the job it may persist concurrently, and two writers
-        # racing one manifest path is exactly what atomic writes of a
-        # shared temp name cannot survive.
-        job.persist()
-        job.emit("job", job._job_event())
-        try:
-            self.queue.put_nowait(job)
-        except queue.Full:
+        with self._admission:
+            if self.queue.full():
+                raise self._queue_full_error()
             with self._lock:
-                del self.jobs[job_id]
-            try:
-                job.manifest_path.unlink()
-                job.dir.rmdir()
-            except OSError:
-                pass  # best-effort spool cleanup on refusal
-            raise self._queue_full_error() from None
+                job_id = self._next_id()
+                job = Job(job_id, self.spool / job_id, submission)
+                self.jobs[job_id] = job
+            job.dir.mkdir(parents=True, exist_ok=True)
+            # Persist and emit *before* enqueueing: once the executor can
+            # see the job it may persist concurrently, and two writers
+            # racing one manifest path is exactly what atomic writes of a
+            # shared temp name cannot survive.
+            job.persist()
+            job.emit("job", job._job_event())
+            self.queue.put_nowait(job)
         return job
 
     def resume_job(self, job_id: str) -> Job:
@@ -522,28 +521,27 @@ class JobManager:
         job = self.jobs.get(job_id)
         if job is None:
             raise KeyError(job_id)
-        with job.cond:
-            if job.state not in (STATE_INTERRUPTED, STATE_FAILED):
-                message = (
-                    f"job {job_id} is {job.state}; only interrupted or "
-                    "failed jobs can be resumed"
-                )
-                raise SubmissionError(message)
-            job.state = STATE_QUEUED
-            job.error = None
-            job.resume = True
-            job.done = 0
-            job.counts = {}
-            job.events = []
-        job.persist()
-        job.emit("job", job._job_event())
-        try:
-            self.queue.put_nowait(job)
-        except queue.Full:
+        with self._admission:
             with job.cond:
-                job.state = STATE_INTERRUPTED
+                if job.state not in (STATE_INTERRUPTED, STATE_FAILED):
+                    message = (
+                        f"job {job_id} is {job.state}; only interrupted or "
+                        "failed jobs can be resumed"
+                    )
+                    raise SubmissionError(message)
+                # Refuse before touching the job: a refused resume
+                # leaves its state, events and manifest as they were.
+                if self.queue.full():
+                    raise self._queue_full_error()
+                job.state = STATE_QUEUED
+                job.error = None
+                job.resume = True
+                job.done = 0
+                job.counts = {}
+                job.events = []
             job.persist()
-            raise self._queue_full_error() from None
+            job.emit("job", job._job_event())
+            self.queue.put_nowait(job)
         return job
 
     def list_jobs(self) -> list[dict[str, Any]]:

@@ -55,7 +55,7 @@ from repro.cost import CostPredictor
 from repro.errors import AnalysisError, PipelineFault
 from repro.network.database import NetworkDatabase
 from repro.observe.registry import NamedCounters, get_registry, registry_delta
-from repro.options import ConversionOptions
+from repro.options import STRATEGY_ORDERS, ConversionOptions
 from repro.observe.tracing import span
 from repro.programs.ast import Program
 from repro.programs.interpreter import ProgramInputs, run_program
@@ -68,8 +68,6 @@ from repro.strategies.rewrite import RewriteStrategy
 
 #: Default attempt order: the paper's preferred strategy first.
 DEFAULT_ORDER = ("rewrite", "emulation", "bridge")
-
-STRATEGY_ORDERS = ("cost", "fixed")
 
 
 @dataclass
@@ -190,14 +188,8 @@ class FallbackCascade:
         """Run the cascade under a ``cascade.convert`` span; the report
         comes back with the unified counter movement attached."""
         inputs = options.inputs if options is not None else None
-        strategy_order = self.strategy_order
-        if options is not None and options.strategy_order is not None:
-            if options.strategy_order not in STRATEGY_ORDERS:
-                raise ValueError(
-                    f"strategy_order must be one of {STRATEGY_ORDERS}, "
-                    f"got {options.strategy_order!r}"
-                )
-            strategy_order = options.strategy_order
+        strategy_order = (options.strategy_order if options is not None
+                          else self.strategy_order)
         use_cost = strategy_order == "cost"
         registry = get_registry()
         before = registry.snapshot()

@@ -13,11 +13,14 @@
   experiments;
 * :mod:`repro.workloads.inventory` -- the synthetic large-inventory
   workload (generated wide schema + 1k-100k program corpus) behind
-  the multi-scale parallel benchmarks.
+  the multi-scale parallel benchmarks;
+* :mod:`repro.workloads.chain` -- the DIV -> DEPT -> EMP chain
+  snapshot at any size, behind the snapshot-index tests and the
+  hierarchical load floor.
 """
 
 from repro.workloads.datagen import DataGen
-from repro.workloads import school, company, florida, corpus, inventory
+from repro.workloads import chain, school, company, florida, corpus, inventory
 
-__all__ = ["DataGen", "school", "company", "florida", "corpus",
+__all__ = ["DataGen", "chain", "school", "company", "florida", "corpus",
            "inventory"]

@@ -159,10 +159,6 @@ class TestFacadeParity:
         report = supervisor.convert_program(program, options=options)
         assert report.status == "analyst-assisted"
 
-    def test_run_bench_rejects_unknown_suite(self):
-        with pytest.raises(ValueError, match="unknown bench suite"):
-            api.run_bench("nonsense")
-
 
 class TestCuratedNamespace:
     def test_all_names_resolve(self):

@@ -6,8 +6,9 @@ torn tail is dropped and nothing else is; anything else malformed is
 refused by name; a fault at any write boundary, in the serial engine
 or the parallel coordinator, resumes to the bytes of an uninterrupted
 serial run; a fresh run replaces another batch's journal; a reader can
-fold a running journal while it is compacted; and the bytes the journal
-writes grow linearly with the batch.
+fold a running journal while it is compacted; the bytes the journal
+writes grow linearly with the batch; and the atomic document writer
+creates its parent directories and replaces the file in place.
 """
 
 import json
@@ -380,3 +381,24 @@ def test_journal_bytes_grow_linearly_with_the_batch(tmp_path, monkeypatch):
     large = journal_bytes(tmp_path, monkeypatch, 32)
     assert small > 0
     assert large / small <= 5, (small, large)
+
+
+# -- the atomic document writer -----------------------------------------
+
+
+def test_write_json_atomic_creates_parents_and_trailing_newline(tmp_path):
+    target = tmp_path / "deep" / "nested" / "report.json"
+    written = write_json_atomic({"a": 1}, target)
+    assert written == target
+    text = target.read_text()
+    assert text.endswith("\n")
+    assert json.loads(text) == {"a": 1}
+    # No leftover temp file from the replace dance.
+    assert list(target.parent.iterdir()) == [target]
+
+
+def test_write_json_atomic_overwrites(tmp_path):
+    target = tmp_path / "report.json"
+    write_json_atomic({"v": 1}, target)
+    write_json_atomic({"v": 2}, target)
+    assert json.loads(target.read_text()) == {"v": 2}

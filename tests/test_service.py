@@ -3,10 +3,12 @@ stream, the SSE wire format, the job manager, the HTTP surface, and
 the graceful-shutdown / resume byte-identity contract."""
 
 import json
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from functools import partial
 
 import pytest
 
@@ -204,6 +206,13 @@ def test_sse_format_is_byte_stable():
     (lambda p: p.update(options={"jobs": "two"}), "'jobs'"),
     (lambda p: p.update(options={"strategy_order": "random"}),
      "strategy_order"),
+    (lambda p: p.update(options={"jobs": 0}), "jobs must be >= 1"),
+    (lambda p: p.update(options={"jobs": 2, "parallel_threshold": -1}),
+     "parallel_threshold must be >= 0"),
+    (lambda p: p.update(options={"program_timeout": 0}),
+     "program_timeout must be > 0"),
+    (lambda p: p.update(options={"jobs": 2, "chunk_size": 0}),
+     "chunk_size must be >= 1"),
     (lambda p: p.update(programs=corpus(2) + [corpus(2)[0]]),
      "duplicate"),
 ])
@@ -264,6 +273,114 @@ def test_job_manager_queue_limit(tmp_path, monkeypatch):
         gate.set()
         assert wait_terminal(running) == jobs_mod.STATE_COMPLETED
     finally:
+        gate.set()
+        manager.stop()
+
+
+def test_refused_resume_changes_neither_job_nor_manifest(tmp_path,
+                                                        monkeypatch):
+    """A resume refused because the queue is full leaves the failed
+    job exactly as it was, in memory and in its ``job.json``."""
+    fail_next = threading.Event()
+    fail_next.set()
+    gate = threading.Event()
+    entered = threading.Event()
+
+    def fail_once_then_block(job, report):
+        if fail_next.is_set():
+            fail_next.clear()
+            raise RuntimeError("injected failure")
+        entered.set()
+        gate.wait(timeout=30.0)
+
+    monkeypatch.setattr(jobs_mod, "_after_program", fail_once_then_block)
+    manager = JobManager(tmp_path / "spool", queue_limit=1)
+    try:
+        failed = manager.submit(submission(2))
+        assert wait_terminal(failed) == jobs_mod.STATE_FAILED
+        running = manager.submit(submission(2))
+        # The single executor finished the failed job, manifest write
+        # included, before it began the running one.
+        assert entered.wait(timeout=30.0)
+        manager.submit(submission(2))  # fills the single queue slot
+
+        def observed():
+            return (failed.state, failed.error, failed.done,
+                    list(failed.events), failed.manifest_path.read_bytes())
+
+        before = observed()
+        assert "injected failure" in before[1]
+        with pytest.raises(QueueFullError):
+            manager.resume_job(failed.id)
+        assert observed() == before
+        gate.set()
+        assert wait_terminal(running) == jobs_mod.STATE_COMPLETED
+    finally:
+        gate.set()
+        manager.stop()
+
+
+def test_racing_submits_and_resumes_share_the_last_slots(tmp_path,
+                                                       monkeypatch):
+    """Eight requests race for two free queue slots: exactly two are
+    admitted, the rest are refused with ``QueueFullError``, and every
+    refused resume leaves its job's manifest untouched."""
+    failing = threading.Event()
+    failing.set()
+    gate = threading.Event()
+    entered = threading.Event()
+
+    def fail_then_block(job, report):
+        if failing.is_set():
+            raise RuntimeError("injected failure")
+        entered.set()
+        gate.wait(timeout=30.0)
+
+    monkeypatch.setattr(jobs_mod, "_after_program", fail_then_block)
+    manager = JobManager(tmp_path / "spool", queue_limit=2)
+    interval = sys.getswitchinterval()
+    try:
+        failed = []
+        for _ in range(4):
+            job = manager.submit(submission(1))
+            assert wait_terminal(job) == jobs_mod.STATE_FAILED
+            failed.append(job)
+        failing.clear()
+        manager.submit(submission(1))
+        assert entered.wait(timeout=30.0)  # the executor is parked
+        manifests = {job.id: job.manifest_path.read_bytes()
+                     for job in failed}
+        requests = {f"resume {job.id}": partial(manager.resume_job, job.id)
+                    for job in failed}
+        requests.update({f"submit {n}": partial(manager.submit, submission(1))
+                         for n in range(4)})
+        outcomes = {}
+
+        def attempt(label, request):
+            try:
+                request()
+                outcomes[label] = "admitted"
+            except QueueFullError:
+                outcomes[label] = "refused"
+            except Exception as exc:
+                outcomes[label] = repr(exc)
+
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=attempt, args=item)
+                   for item in requests.items()]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(outcomes.values()) == ["admitted"] * 2 + ["refused"] * 6
+        for job in failed:
+            if outcomes[f"resume {job.id}"] == "refused":
+                assert job.state == jobs_mod.STATE_FAILED
+                assert job.manifest_path.read_bytes() == manifests[job.id]
+    finally:
+        sys.setswitchinterval(interval)
         gate.set()
         manager.stop()
 

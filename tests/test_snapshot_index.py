@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.perf.harness import build_snapshot, perf_schema, size_split
 from repro.restructure import (
     AddField,
     Composite,
@@ -17,6 +16,7 @@ from repro.restructure import (
 )
 from repro.restructure.translator import DataSnapshot
 from repro.workloads import company
+from repro.workloads.chain import build_snapshot, perf_schema, size_split
 
 
 def naive_owner_of(snapshot, set_name, member_id):
