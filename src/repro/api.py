@@ -131,8 +131,7 @@ def convert(
 
     Each artifact may be passed parsed, as a path, or as source text.
     The report carries the generated program (``report.target_program``,
-    ``None`` when conversion failed or needs the Analyst) and the
-    unified counter movement (``report.metrics``).
+    ``None`` when conversion failed or needs the Analyst).
     """
     options = options if options is not None else ConversionOptions()
     supervisor = ConversionSupervisor.from_options(
@@ -151,8 +150,8 @@ def build_cascade(
 
     ``data`` is an optional loader program (STOREs) that populates the
     source database before the restructuring is applied; the cascade's
-    strategy order comes from ``options``.  This is the
-    exact construction ``repro convert`` (batch mode) and the
+    ``strategy_order`` and rule catalog come from ``options``.  This is
+    the exact construction ``repro convert`` (batch mode) and the
     conversion service share, so a served job and a shell run of the
     same artifacts validate against byte-identical probe databases.
     """

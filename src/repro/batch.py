@@ -478,9 +478,8 @@ def convert_one(cascade: FallbackCascade, program: Program,
                         "source_db": cascade.source_db,
                         "target_db": cascade.target_db,
                     }):
-                        outcome = cascade.convert(program, options=options)
-                else:
-                    outcome = cascade.convert(program, options=options)
+                        return cascade.convert(program, options=options)
+                return cascade.convert(program, options=options)
         except WorkerKilled:
             cascade.source_db.rollback(source_sp)
             cascade.target_db.rollback(target_sp)
@@ -498,5 +497,3 @@ def convert_one(cascade: FallbackCascade, program: Program,
             report.failure = str(exc)
             report.fault = fault
             return report
-        return outcome.report
-

@@ -50,7 +50,6 @@ from repro.core.supervisor import (
     Analyst,
     AnalystQuestion,
     AutoAnalyst,
-    ConversionOutcome,
     ConversionSupervisor,
     RefusingAnalyst,
     ScriptedAnalyst,
@@ -86,5 +85,4 @@ __all__ = [
     "ScriptedAnalyst",
     "RefusingAnalyst",
     "ConversionSupervisor",
-    "ConversionOutcome",
 ]

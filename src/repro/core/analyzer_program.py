@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.analysis.variability import detect_pathologies
-from repro.core.abstract import ALocate, AQuery, AScan, AbstractProgram
+from repro.core.abstract import ALocate, AQuery, AbstractProgram
 from repro.core.templates import NetworkTemplateMatcher, _conds
 from repro.errors import AnalysisError
 from repro.programs import ast
@@ -144,17 +144,3 @@ def _pin_verbs(program: ast.Program,
         return stmt
 
     return ast.transform_program(program, fix)
-
-
-def scan_order_warnings(abstract: AbstractProgram) -> list[str]:
-    """Order-sensitive scans, for the supervisor's change-impact check."""
-    from repro.core.abstract import walk
-
-    warnings = []
-    for stmt in walk(abstract.statements):
-        if isinstance(stmt, AScan) and stmt.order_sensitive:
-            warnings.append(
-                f"scan of {stmt.entity} via {stmt.via} emits output per "
-                "member (order dependent)"
-            )
-    return warnings

@@ -21,8 +21,6 @@ that is removed from an actual DBMS language".
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core import templates
 from repro.core.abstract import (
     ABind,
@@ -48,12 +46,13 @@ from repro.schema.model import Schema
 class ProgramGenerator:
     """Lowers abstract programs into concrete database programs.
 
-    ``templates`` optionally restricts the network language templates
-    the lowering may expand (a rule catalog's TEMPLATE entries via
+    ``templates`` optionally restricts the language templates every
+    lowering may expand (a rule catalog's TEMPLATE entries via
     ``CompiledRules.templates``); ``None`` means no gating.  A
-    disabled ``keyed-scan`` degrades to the filtered loop; the other
-    templates have no fallback, so disabling them makes programs that
-    need them raise :class:`~repro.errors.GenerationError`.
+    disabled ``keyed-scan`` degrades to the network filtered loop; the
+    other templates have no fallback, so disabling them makes programs
+    that need them raise :class:`~repro.errors.GenerationError` in
+    every target model.
     """
 
     def __init__(self, schema: Schema,
@@ -69,11 +68,13 @@ class ProgramGenerator:
                 program.statements
             )
         elif target_model == "relational":
-            statements = _RelationalLowering(self.schema).lower(
+            statements = _RelationalLowering(self.schema,
+                                             self.templates).lower(
                 program.statements, {}
             )
         elif target_model == "hierarchical":
-            statements = _HierarchicalLowering(self.schema).lower(
+            statements = _HierarchicalLowering(self.schema,
+                                               self.templates).lower(
                 program.statements
             )
         else:
@@ -82,24 +83,45 @@ class ProgramGenerator:
                            tuple(statements))
 
 
-# ---------------------------------------------------------------------------
-# Network
-# ---------------------------------------------------------------------------
+class _Lowering:
+    """What the three target-model lowerings share: the rule catalog's
+    language-template grants (``enabled``; ``None`` grants all)."""
 
-
-class _NetworkLowering:
     def __init__(self, schema: Schema,
                  enabled: frozenset[str] | None = None):
         self.schema = schema
         self.enabled = enabled
 
-    def _require(self, name: str, what: str) -> None:
-        if self.enabled is not None and name not in self.enabled:
+    def _require(self, stmt: AStmt) -> None:
+        """Refuse ``stmt`` when it needs a template the catalog
+        disables.  Each lowering calls this first for every statement
+        it lowers, so the refusal names the first such statement in
+        lowering order."""
+        if self.enabled is None:
+            return
+        if isinstance(stmt, ALocate):
+            name, what = "locate", f"LOCATE {stmt.entity}"
+        elif isinstance(stmt, AScan):
+            name, what = "scan", f"scan of {stmt.entity}"
+        elif isinstance(stmt, AFirst):
+            name, what = "process-first", f"'process first' of {stmt.entity}"
+        elif isinstance(stmt, AToOwner):
+            name, what = "owner-hop", f"owner hop via {stmt.via}"
+        else:
+            return
+        if name not in self.enabled:
             raise GenerationError(
                 f"{what} needs the {name!r} language template, which "
                 f"the rule catalog disables"
             )
 
+
+# ---------------------------------------------------------------------------
+# Network
+# ---------------------------------------------------------------------------
+
+
+class _NetworkLowering(_Lowering):
     def lower(self, statements: tuple[AStmt, ...]) -> list[ast.Stmt]:
         out: list[ast.Stmt] = []
         for stmt in statements:
@@ -107,18 +129,15 @@ class _NetworkLowering:
         return out
 
     def _lower_one(self, stmt: AStmt) -> list[ast.Stmt]:
+        self._require(stmt)
         if isinstance(stmt, ALocate):
-            self._require("locate", f"LOCATE {stmt.entity}")
             return templates.emit_locate_network(stmt)
         if isinstance(stmt, AScan):
-            self._require("scan", f"scan of {stmt.entity}")
             keyed = self.enabled is None or "keyed-scan" in self.enabled
             return templates.emit_scan_network(
                 stmt, tuple(self.lower(stmt.body)), keyed=keyed
             )
         if isinstance(stmt, AFirst):
-            self._require("process-first",
-                          f"'process first' of {stmt.entity}")
             return templates.emit_first_network(
                 stmt, tuple(self.lower(stmt.body))
             )
@@ -127,7 +146,6 @@ class _NetworkLowering:
         if isinstance(stmt, ARefind):
             return [ast.NetFindCurrent(stmt.entity)]
         if isinstance(stmt, AToOwner):
-            self._require("owner-hop", f"owner hop via {stmt.via}")
             return templates.emit_owner_network(stmt)
         if isinstance(stmt, AStore):
             return [ast.NetStore(stmt.entity, stmt.values)]
@@ -159,9 +177,10 @@ class _NetworkLowering:
 # ---------------------------------------------------------------------------
 
 
-class _RelationalLowering:
-    def __init__(self, schema: Schema):
-        self.schema = schema
+class _RelationalLowering(_Lowering):
+    def __init__(self, schema: Schema,
+                 enabled: frozenset[str] | None = None):
+        super().__init__(schema, enabled)
         self._counter = 0
 
     def _fresh(self, entity: str) -> str:
@@ -208,6 +227,7 @@ class _RelationalLowering:
 
     def _lower_one(self, stmt: AStmt,
                    positioned: dict[str, str]) -> list[ast.Stmt]:
+        self._require(stmt)
         if isinstance(stmt, ALocate):
             where, params = self._condition_sql(stmt.entity,
                                                 stmt.conditions, [])
@@ -394,10 +414,7 @@ class _RelationalLowering:
 # ---------------------------------------------------------------------------
 
 
-class _HierarchicalLowering:
-    def __init__(self, schema: Schema):
-        self.schema = schema
-
+class _HierarchicalLowering(_Lowering):
     def lower(self, statements: tuple[AStmt, ...]) -> list[ast.Stmt]:
         out: list[ast.Stmt] = []
         for stmt in statements:
@@ -425,6 +442,7 @@ class _HierarchicalLowering:
         return (ast.If(condition, body),)
 
     def _lower_one(self, stmt: AStmt) -> list[ast.Stmt]:
+        self._require(stmt)
         if isinstance(stmt, ALocate):
             ssa, rest = self._ssa(stmt.entity, stmt.conditions)
             if rest:
@@ -494,10 +512,3 @@ class _HierarchicalLowering:
 
 def _hier_status_ok() -> ast.Bin:
     return ast.Bin("=", ast.Var("DB-STATUS"), ast.Const("  "))
-
-
-def lower_value(value: Any) -> ast.Expr:
-    """Convenience: wrap plain values for generated statements."""
-    if isinstance(value, (ast.Const, ast.Var, ast.Bin)):
-        return value
-    return ast.Const(value)

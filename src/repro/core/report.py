@@ -165,13 +165,6 @@ class ConversionReport:
     stages: list[StageOutcome] = field(default_factory=list)
     #: Structured context when the program faulted.
     fault: FaultContext | None = None
-    #: Unified counter movement (:mod:`repro.observe`) observed while
-    #: this program was converted, keyed by namespaced counter name.
-    #: Observational only: counter deltas depend on run history (cache
-    #: warm-up, index builds), so this field is deliberately left out
-    #: of the checkpoint summary -- a resumed batch must reproduce the
-    #: original batch's journaled reports exactly.
-    metrics: dict[str, int] | None = None
 
     @property
     def converted(self) -> bool:

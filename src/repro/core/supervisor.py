@@ -39,7 +39,6 @@ from repro.errors import (
     UnconvertiblePattern,
     annotate,
 )
-from repro.observe.registry import get_registry, registry_delta
 from repro.options import DEFAULT_OPTIMIZER_PASSES, ConversionOptions
 from repro.observe.tracing import span
 from repro.programs import ast
@@ -136,21 +135,6 @@ class RefusingAnalyst(Analyst):
         return None
 
 
-@dataclass
-class ConversionOutcome:
-    """Alias used by callers that want just the essentials."""
-
-    report: ConversionReport
-
-    @property
-    def status(self) -> str:
-        return self.report.status
-
-    @property
-    def program(self) -> ast.Program | None:
-        return self.report.target_program
-
-
 class ConversionSupervisor:
     """Drives one program (or a whole system) through Figure 4.1."""
 
@@ -221,8 +205,8 @@ class ConversionSupervisor:
         try:
             # Phases are pure AST work -- the engine counters only move
             # during reference runs and program execution -- so phase
-            # spans skip the registry snapshots; the per-program delta
-            # lives on the enclosing ``supervisor.convert`` span.
+            # spans skip the registry snapshots; the enclosing
+            # ``supervisor.convert`` span takes the program's pair.
             with span(f"phase.{phase}", capture_metrics=False,
                       program=program_name):
                 return thunk()
@@ -237,25 +221,11 @@ class ConversionSupervisor:
     def convert_program(self, program: ast.Program, *,
                         options: ConversionOptions | None = None
                         ) -> ConversionReport:
-        """Convert one program, under a ``supervisor.convert`` span.
-
-        The report comes back carrying the unified counter movement
-        observed during the conversion (``report.metrics``)."""
+        """Convert one program, under a ``supervisor.convert`` span."""
         target_model = options.target_model if options is not None \
             else None
-        registry = get_registry()
-        before = registry.snapshot()
-        # The span shares this wrapper's snapshots instead of taking
-        # its own pair (capture_metrics=False, then stamped below).
-        with span("supervisor.convert", capture_metrics=False,
-                  program=program.name) as convert_span:
-            report = self._convert_program(program, target_model)
-        after = registry.snapshot()
-        report.metrics = registry_delta(before, after)
-        if convert_span:
-            convert_span.metrics = {k: v for k, v in after.items() if v}
-            convert_span.metrics_delta = dict(report.metrics)
-        return report
+        with span("supervisor.convert", program=program.name):
+            return self._convert_program(program, target_model)
 
     def _convert_program(self, program: ast.Program,
                          target_model: str | None = None

@@ -93,14 +93,6 @@ class UniquenessViolation(IntegrityError):
     """A tuple/record duplicates a declared key (Section 3.1)."""
 
 
-class CardinalityViolation(IntegrityError):
-    """A numeric limit on relationship participation is exceeded.
-
-    The paper's example: "a course may not be offered more than twice in
-    a school year" -- a constraint no 1979 data model could declare.
-    """
-
-
 class MandatoryViolation(IntegrityError):
     """A MANDATORY set member would be left without an owner."""
 
@@ -116,19 +108,6 @@ class DMLError(ReproError):
 
 class CurrencyError(DMLError):
     """A navigational DML verb was issued without the needed currency."""
-
-
-class EndOfSet(DMLError):
-    """FIND NEXT ran off the end of a set occurrence.
-
-    CODASYL systems signal this through a status code rather than an
-    exception; the network DML layer converts it to status ``0307`` so
-    programs can exhibit the status-code dependence of Section 3.2.
-    """
-
-
-class EndOfDatabase(DMLError):
-    """A hierarchical GET NEXT ran past the last segment (DL/I ``GB``)."""
 
 
 class QueryError(DMLError):
@@ -234,10 +213,6 @@ class GenerationError(ConversionError):
 class UnconvertiblePattern(ConversionError):
     """No transformation rule covers an access pattern under the given
     schema change; the supervisor reports these to the analyst."""
-
-
-class AnalystAbort(ConversionError):
-    """The conversion analyst declined to resolve an open question."""
 
 
 class PipelineFault(ConversionError):

@@ -13,8 +13,8 @@ construction; the registry aggregates on read by summing the live
 bundles.
 
 Writes therefore cost exactly what they cost in the seed -- one int
-attribute store -- and reads (span snapshots, ``ConversionReport``
-metrics) pay one pass over the live bundles.  Bundles are held weakly,
+attribute store -- and reads (span snapshots) pay one pass over the
+live bundles.  Bundles are held weakly,
 so the registry never extends an engine's lifetime; a snapshot taken
 after a bundle is collected (or ``reset``) can be lower than one taken
 before, which is why span deltas are computed within one span's

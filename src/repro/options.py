@@ -23,10 +23,6 @@ if TYPE_CHECKING:  # imported lazily to keep this module cycle-free
 DEFAULT_OPTIMIZER_PASSES = ("pushdown", "keyed", "calc-locate",
                             "hoist-locate", "dedup-locate", "owner-elim")
 
-#: The cascade's default stage order: the paper's preferred strategy
-#: first (Section 2.2), runtime strategies in reserve (Section 2.1.2).
-DEFAULT_STAGE_ORDER = ("rewrite", "emulation", "bridge")
-
 #: The accepted ``strategy_order`` values (see the field below).
 STRATEGY_ORDERS = ("cost", "fixed")
 
@@ -71,16 +67,14 @@ class ConversionOptions:
     rule_catalog: "RuleCatalog | None" = None
 
     # -- cascade knobs ------------------------------------------------
-    #: Strategy stage order for the fallback cascade.
-    order: tuple[str, ...] = DEFAULT_STAGE_ORDER
     #: Terminal/file inputs replayed by every validation probe.
     inputs: "ProgramInputs | None" = None
     #: Whether the cascade may skip a rewrite attempt: ``"cost"`` runs
     #: the :mod:`repro.cost` blocking check and skips the attempt only
     #: when static analysis proves the analyzer would refuse (the
     #: refusal is synthesized byte-identically); ``"fixed"`` always
-    #: probes ``order`` as written.  Validation is never skipped in
-    #: either mode.
+    #: probes the cascade's stage order as written.  Validation is
+    #: never skipped in either mode.
     strategy_order: str = "cost"
 
     # -- batch knobs --------------------------------------------------
@@ -171,7 +165,6 @@ __all__ = [
     "ConversionOptions",
     "DEFAULT_OPTIMIZER_PASSES",
     "DEFAULT_PARALLEL_THRESHOLD",
-    "DEFAULT_STAGE_ORDER",
     "MAX_AUTO_CHUNK",
     "STRATEGY_ORDERS",
 ]

@@ -46,13 +46,12 @@ long-lived worker processes:
 
 The deterministic merge is unchanged from the spawn-per-batch
 executor: report summaries come back through the exact render/parse
-round trip and are reassembled in program order, per-program metrics
-are reattached, and the shards, together with the coordinator's
-quarantine records, fold into the checkpoint in program order through
-the serial engine's fold step
-(:meth:`repro.batch.BatchCheckpoint.merge_shards`) -- so reports,
-checkpoint bytes, and metrics are byte-identical to a serial run at
-any worker count, any chunk size, and any dispatch interleaving.
+round trip and are reassembled in program order, and the shards,
+together with the coordinator's quarantine records, fold into the
+checkpoint in program order through the serial engine's fold step
+(:meth:`repro.batch.BatchCheckpoint.merge_shards`) -- so reports and
+checkpoint bytes are byte-identical to a serial run at any worker
+count, any chunk size, and any dispatch interleaving.
 Every chunk result also carries its worker's registry delta since the
 batch began and the spans it closed since its previous chunk.  The
 coordinator keeps each worker's latest delta (it is cumulative, so a
@@ -216,16 +215,10 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
         try:
             programs: list[Program] = pickle.loads(programs_blob)
             chunk_summaries: list[dict] = []
-            chunk_metrics: dict[str, dict[str, int]] = {}
             for program in programs:
                 with span("batch.program", program=program.name):
                     report = convert_one(cascade, program, options)
                 chunk_summaries.append(report.to_summary())
-                # A fault that escapes the cascade leaves metrics as
-                # None (convert_one's belt-and-braces path); ship that
-                # as-is so the merged report matches serial.
-                if report.metrics is not None:
-                    chunk_metrics[program.name] = dict(report.metrics)
             if journal is not None:
                 journal.write(names, chunk_summaries)
         except Exception as exc:  # pragma: no cover - shipped upward
@@ -241,7 +234,6 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
                 worker_id,
                 chunk_id,
                 chunk_summaries,
-                chunk_metrics,
                 delta,
                 spans,
                 clock_base,
@@ -774,8 +766,7 @@ class ParallelExecutor:
                 for worker_id in pool.active_ids():
                     self._deal(pool, scheduler, worker_id)
             elif kind == "chunk":
-                _, worker_id, chunk_id, summaries, metrics = message[:5]
-                delta, spans, clock_base = message[5:]
+                _, worker_id, chunk_id, summaries, delta, spans, clock_base = message
                 deltas[worker_id] = delta
                 forests.setdefault(worker_id, (clock_base, []))[1].extend(spans)
                 converted = [summary["program"] for summary in summaries]
@@ -783,10 +774,7 @@ class ParallelExecutor:
                 for summary in summaries:
                     if summary["program"] not in fresh:
                         continue
-                    report = ConversionReport.from_summary(summary)
-                    raw = metrics.get(report.program_name)
-                    report.metrics = dict(raw) if raw is not None else None
-                    self._settle(reports, report)
+                    self._settle(reports, ConversionReport.from_summary(summary))
                 self._deal(pool, scheduler, worker_id)
             else:  # ("error", worker_id, detail)
                 raise ParallelExecutionError(

@@ -23,7 +23,7 @@ over a shared metrics object so E5 compares like with like.
 from repro.strategies.base import ConversionStrategy, StrategyRun
 from repro.strategies.emulation import EmulationStrategy, EmulatedDMLSession
 from repro.strategies.bridge import BridgeStrategy
-from repro.strategies.cascade import CascadeOutcome, FallbackCascade
+from repro.strategies.cascade import FallbackCascade
 from repro.strategies.differential import DifferentialFile, DifferentialEntry
 from repro.strategies.rewrite import RewriteStrategy
 
@@ -33,7 +33,6 @@ __all__ = [
     "EmulationStrategy",
     "EmulatedDMLSession",
     "BridgeStrategy",
-    "CascadeOutcome",
     "FallbackCascade",
     "DifferentialFile",
     "DifferentialEntry",

@@ -36,8 +36,6 @@ Stage outcomes land in :class:`~repro.core.report.ConversionReport`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.analyzer_db import ChangeCatalog, ConversionAnalyzer
 from repro.core.analyzer_program import blocking_failure
 from repro.core.optimizer import CostModel
@@ -54,7 +52,7 @@ from repro.core.supervisor import Analyst, pin_verb_question
 from repro.cost import CostPredictor
 from repro.errors import AnalysisError, PipelineFault
 from repro.network.database import NetworkDatabase
-from repro.observe.registry import NamedCounters, get_registry, registry_delta
+from repro.observe.registry import NamedCounters
 from repro.options import STRATEGY_ORDERS, ConversionOptions
 from repro.observe.tracing import span
 from repro.programs.ast import Program
@@ -68,22 +66,6 @@ from repro.strategies.rewrite import RewriteStrategy
 
 #: Default attempt order: the paper's preferred strategy first.
 DEFAULT_ORDER = ("rewrite", "emulation", "bridge")
-
-
-@dataclass
-class CascadeOutcome:
-    """What the cascade decided for one program."""
-
-    report: ConversionReport
-    #: A strategy instance ready to serve the program (fresh state),
-    #: or None when every stage failed.
-    strategy: ConversionStrategy | None
-    #: The winning probe run (trace + metrics delta), when any.
-    run: StrategyRun | None
-
-    @property
-    def status(self) -> str:
-        return self.report.status
 
 
 def traces_reordered(reference: IOTrace, candidate: IOTrace) -> bool:
@@ -137,8 +119,9 @@ class FallbackCascade:
     # -- strategy construction ---------------------------------------
 
     def make_strategy(self, name: str) -> ConversionStrategy:
-        """A fresh strategy instance (probe state never leaks into the
-        instance handed back to the caller)."""
+        """A fresh strategy instance for one probe: a bridge rebinds
+        its target when it retranslates and a rewrite memoizes reports
+        by program name, so no instance outlives its attempt."""
         if name == "rewrite":
             return RewriteStrategy(self.target_db, self.source_db.schema,
                                    self.operator, analyst=self.analyst,
@@ -184,31 +167,20 @@ class FallbackCascade:
 
     def convert(self, program: Program, *,
                 options: ConversionOptions | None = None
-                ) -> CascadeOutcome:
-        """Run the cascade under a ``cascade.convert`` span; the report
-        comes back with the unified counter movement attached."""
+                ) -> ConversionReport:
+        """Run the cascade under a ``cascade.convert`` span and return
+        the program's report."""
         inputs = options.inputs if options is not None else None
         strategy_order = (options.strategy_order if options is not None
                           else self.strategy_order)
         use_cost = strategy_order == "cost"
-        registry = get_registry()
-        before = registry.snapshot()
-        # The span shares this wrapper's snapshots instead of taking
-        # its own pair (capture_metrics=False, then stamped below).
-        with span("cascade.convert", capture_metrics=False,
-                  program=program.name) as convert_span:
+        with span("cascade.convert", program=program.name):
             blocking = self.predictor.predict(program) if use_cost else ()
-            outcome = self._convert(program, inputs, blocking)
-        after = registry.snapshot()
-        outcome.report.metrics = registry_delta(before, after)
-        if convert_span:
-            convert_span.metrics = {k: v for k, v in after.items() if v}
-            convert_span.metrics_delta = dict(outcome.report.metrics)
-        return outcome
+            return self._convert(program, inputs, blocking)
 
     def _convert(self, program: Program,
                  inputs: ProgramInputs | None = None,
-                 blocking: tuple[str, ...] = ()) -> CascadeOutcome:
+                 blocking: tuple[str, ...] = ()) -> ConversionReport:
         inputs = inputs or ProgramInputs()
         reference = self.reference_trace(program, inputs)
 
@@ -258,14 +230,14 @@ class FallbackCascade:
                     stages.append(StageOutcome(name, "validated"))
                     stage_span.set_attr("outcome", "validated")
                     return self._won(program, name, stages, rewrite_report,
-                                     run, reordered=False)
+                                     reordered=False)
                 if traces_reordered(reference, run.trace):
                     stages.append(StageOutcome(
                         name, "validated-reordered",
                         "same events, different order"))
                     stage_span.set_attr("outcome", "validated-reordered")
                     return self._won(program, name, stages, rewrite_report,
-                                     run, reordered=True)
+                                     reordered=True)
                 last_detail = divergence
                 stages.append(StageOutcome(name, "divergent", divergence))
                 stage_span.set_attr("outcome", "divergent")
@@ -298,18 +270,12 @@ class FallbackCascade:
         report.failure = failure
         return report
 
-    def convert_system(self, programs: list[Program], *,
-                       options: ConversionOptions | None = None
-                       ) -> list[CascadeOutcome]:
-        return [self.convert(program, options=options)
-                for program in programs]
-
     # -- report assembly ----------------------------------------------
 
     def _won(self, program: Program, name: str,
              stages: list[StageOutcome],
              rewrite_report: ConversionReport | None,
-             run: StrategyRun, reordered: bool) -> CascadeOutcome:
+             reordered: bool) -> ConversionReport:
         if name == "rewrite":
             # The conversion report already carries the right band
             # (automatic / warnings / assisted).
@@ -331,13 +297,12 @@ class FallbackCascade:
                 report.status = STATUS_WARNINGS
         report.strategy = name
         report.stages = list(stages)
-        # Hand back a strategy whose state the probe did not touch.
-        return CascadeOutcome(report, self.make_strategy(name), run)
+        return report
 
     def _lost(self, program: Program, stages: list[StageOutcome],
               rewrite_report: ConversionReport | None,
               last_error: Exception | None,
-              last_detail: str) -> CascadeOutcome:
+              last_detail: str) -> ConversionReport:
         report = rewrite_report if rewrite_report is not None else \
             ConversionReport(program.name, STATUS_FAILED)
         report.status = STATUS_FAILED
@@ -353,4 +318,4 @@ class FallbackCascade:
                 error_type="TraceDivergence", message=last_detail,
                 program=program.name, phase="cascade",
             )
-        return CascadeOutcome(report, None, None)
+        return report

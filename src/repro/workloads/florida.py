@@ -29,8 +29,6 @@ from repro.network.database import NetworkDatabase
 from repro.network.dml import DMLSession
 from repro.programs import builder as b
 from repro.programs.ast import Const
-from repro.relational.database import RelationalDatabase
-from repro.restructure.translator import extract_snapshot, load_relational
 from repro.schema.model import Field, Insertion, Retention, Schema
 from repro.schema.types import parse_pic
 from repro.workloads.datagen import DataGen
@@ -117,12 +115,6 @@ def populate(db: NetworkDatabase, seed: int = 1979, employees: int = 30,
 def florida_network_db(seed: int = 1979, **kwargs) -> NetworkDatabase:
     """A populated Florida database in CODASYL form."""
     return populate(NetworkDatabase(florida_schema()), seed, **kwargs)
-
-
-def florida_relational_db(seed: int = 1979, **kwargs) -> RelationalDatabase:
-    """The same instance in relational form."""
-    network = florida_network_db(seed, **kwargs)
-    return load_relational(network.schema, extract_snapshot(network))
 
 
 def smith_query_abstract() -> AbstractProgram:

@@ -64,23 +64,21 @@ def cascade_setup(interpose_operator):
 class TestHappyPath:
     def test_rewrite_wins_first(self, cascade_setup):
         _source, _target, cascade = cascade_setup
-        outcome = cascade.convert(hire_program())
-        assert outcome.report.strategy == "rewrite"
-        assert outcome.report.converted
-        assert outcome.report.stages[0].outcome == "validated"
-        assert outcome.strategy is not None
-        assert outcome.run is not None
+        report = cascade.convert(hire_program())
+        assert report.strategy == "rewrite"
+        assert report.converted
+        assert report.stages[0].outcome == "validated"
 
     def test_reordered_trace_is_warned_not_escalated(self, cascade_setup):
         """Interposition regroups DIV-EMP members by DEPT; the rewrite
         emits the same events in a different order.  That is the
         Section 5.2 level-2 band, not a failure."""
         _source, _target, cascade = cascade_setup
-        outcome = cascade.convert(report_program())
-        assert outcome.report.strategy == "rewrite"
-        assert outcome.report.stages[0].outcome == "validated-reordered"
-        assert outcome.report.status == STATUS_WARNINGS
-        assert any("order" in w for w in outcome.report.warnings)
+        report = cascade.convert(report_program())
+        assert report.strategy == "rewrite"
+        assert report.stages[0].outcome == "validated-reordered"
+        assert report.status == STATUS_WARNINGS
+        assert any("order" in w for w in report.warnings)
 
     def test_probe_leaves_databases_byte_identical(self, cascade_setup):
         source_db, target_db, cascade = cascade_setup
@@ -95,13 +93,13 @@ class TestEscalation:
     def test_unconvertible_program_falls_back_to_emulation(
             self, cascade_setup):
         _source, _target, cascade = cascade_setup
-        outcome = cascade.convert(free_navigation_program())
-        assert outcome.report.status == STATUS_FELL_BACK
-        assert outcome.report.strategy == "emulation"
-        assert [s.strategy for s in outcome.report.stages] == \
+        report = cascade.convert(free_navigation_program())
+        assert report.status == STATUS_FELL_BACK
+        assert report.strategy == "emulation"
+        assert [s.strategy for s in report.stages] == \
             ["rewrite", "emulation"]
-        assert outcome.report.stages[0].outcome == "unconverted"
-        assert outcome.report.converted
+        assert report.stages[0].outcome == "unconverted"
+        assert report.converted
 
     def test_injected_fault_escalates_to_next_stage(self, cascade_setup):
         source_db, target_db, cascade = cascade_setup
@@ -111,11 +109,11 @@ class TestEscalation:
         # nth=1 kills it, then emulation (whose first insert is call 2)
         # runs clean.
         with inject(target_db, "insert_record", nth=1):
-            outcome = cascade.convert(hire_program())
-        assert outcome.report.status == STATUS_FELL_BACK
-        assert outcome.report.strategy == "emulation"
-        assert outcome.report.stages[0].outcome == "error"
-        assert "InjectedFault" in outcome.report.stages[0].detail
+            report = cascade.convert(hire_program())
+        assert report.status == STATUS_FELL_BACK
+        assert report.strategy == "emulation"
+        assert report.stages[0].outcome == "error"
+        assert "InjectedFault" in report.stages[0].detail
         assert source_db.state_fingerprint() == source_before
         assert target_db.state_fingerprint() == target_before
 
@@ -135,13 +133,12 @@ class TestEscalation:
         for nth in (1, 2):
             injector.add(target_db, "insert_record", nth=nth)
         with injector:
-            outcome = cascade.convert(hire_program())
-        assert outcome.report.status == STATUS_FAILED
-        assert outcome.strategy is None
-        assert outcome.report.fault is not None
-        assert "InjectedFault" in outcome.report.fault.root_cause
+            report = cascade.convert(hire_program())
+        assert report.status == STATUS_FAILED
+        assert report.fault is not None
+        assert "InjectedFault" in report.fault.root_cause
         assert all(stage.outcome == "error"
-                   for stage in outcome.report.stages)
+                   for stage in report.stages)
         assert target_db.state_fingerprint() == target_before
 
     def test_reference_run_fault_is_wrapped_and_chained(
@@ -163,19 +160,19 @@ class TestConfiguration:
         cascade = FallbackCascade(
             cascade_full.source_db, cascade_full.target_db,
             cascade_full.operator, order=("emulation",))
-        outcome = cascade.convert(hire_program())
-        assert outcome.report.strategy == "emulation"
-        assert outcome.report.status == STATUS_FELL_BACK
+        report = cascade.convert(hire_program())
+        assert report.strategy == "emulation"
+        assert report.status == STATUS_FELL_BACK
 
     def test_rewrite_only_order_fails_hard_programs(self, cascade_setup):
         _source, _target, cascade_full = cascade_setup
         cascade = FallbackCascade(
             cascade_full.source_db, cascade_full.target_db,
             cascade_full.operator, order=("rewrite",))
-        outcome = cascade.convert(free_navigation_program())
-        assert outcome.report.status == STATUS_FAILED
-        assert not outcome.report.converted
-        assert outcome.report.fault is not None
+        report = cascade.convert(free_navigation_program())
+        assert report.status == STATUS_FAILED
+        assert not report.converted
+        assert report.fault is not None
 
     def test_unknown_stage_rejected(self, cascade_setup):
         _source, _target, cascade_full = cascade_setup
@@ -185,23 +182,31 @@ class TestConfiguration:
                             cascade_full.operator,
                             order=("rewrite", "teleport"))
 
-    def test_returned_strategy_is_fresh(self, cascade_setup):
-        """The instance handed back must not carry probe state (a
-        bridge that already retranslated, a rewrite memo against a
-        rolled-back target)."""
-        _source, target_db, cascade = cascade_setup
-        outcome = cascade.convert(hire_program())
-        run = outcome.strategy.run(hire_program())
-        assert "HIRED" in run.trace.terminal_lines()
+    def test_one_strategy_build_per_attempted_stage(self, cascade_setup):
+        """A winning stage is not built a second time: the cascade
+        hands back the report, not a strategy instance."""
+        _source, _target, cascade = cascade_setup
+        built = []
+        make_strategy = cascade.make_strategy
+
+        def counting(name):
+            built.append(name)
+            return make_strategy(name)
+
+        cascade.make_strategy = counting
+        cascade.convert(hire_program())
+        assert built == ["rewrite"]
+        built.clear()
+        cascade.convert(free_navigation_program())
+        assert built == ["rewrite", "emulation"]
 
 
 class TestConvertSystem:
     def test_mixed_corpus(self, cascade_setup):
         _source, _target, cascade = cascade_setup
-        outcomes = cascade.convert_system([
+        statuses = [cascade.convert(program).status for program in [
             report_program("P1"), hire_program(),
             free_navigation_program(),
-        ])
-        statuses = [o.report.status for o in outcomes]
+        ]]
         assert statuses[0] == STATUS_WARNINGS
         assert statuses[2] == STATUS_FELL_BACK

@@ -298,7 +298,9 @@ def test_passes_grant_filters_preserving_caller_order():
         == ("pushdown", "keyed")
 
 
-def test_disabled_locate_template_fails_generation():
+@pytest.mark.parametrize("target_model",
+                         ["network", "relational", "hierarchical"])
+def test_disabled_locate_template_fails_generation(target_model):
     gated = dataclasses.replace(
         default_catalog(),
         templates=tuple(TemplateEntry(name, "network", None)
@@ -308,7 +310,8 @@ def test_disabled_locate_template_fails_generation():
                "  FIND ANY DIV USING DIV-NAME='MACHINERY'.\n"
                "  DISPLAY 'OK'.\n")
     report = api.convert(FIGURE_4_3_DDL, FIG44_SPEC, program,
-                         ConversionOptions(rule_catalog=gated))
+                         ConversionOptions(rule_catalog=gated,
+                                           target_model=target_model))
     assert report.status == STATUS_FAILED
     assert "'locate' language template" in report.failure
 

@@ -236,11 +236,11 @@ class TestCostOrderedCascade:
                 strategy_order="fixed"))
         cost_cascade = cascade_pair("cost")
         cost = cost_cascade.convert(verb_program(), options=VERB_OPTIONS)
-        assert cost.report.to_summary() == fixed.report.to_summary()
-        assert cost.report.strategy == "emulation"
+        assert cost.to_summary() == fixed.to_summary()
+        assert cost.strategy == "emulation"
         assert cost_cascade.cost_counters.get("rewrite_skips") == 1
         assert [(stage.strategy, stage.outcome)
-                for stage in cost.report.stages] == [
+                for stage in cost.stages] == [
             ("rewrite", "unconverted"), ("emulation", "validated")]
 
     def test_analyst_transcripts_are_identical(self, cascade_pair):
@@ -259,27 +259,27 @@ class TestCostOrderedCascade:
 
     def test_clean_program_pays_the_attempt(self, cascade_pair):
         cascade = cascade_pair("cost")
-        outcome = cascade.convert(lookup_program(),
-                                  options=VERB_OPTIONS)
-        assert outcome.report.strategy == "rewrite"
+        report = cascade.convert(lookup_program(),
+                                 options=VERB_OPTIONS)
+        assert report.strategy == "rewrite"
         assert [(stage.strategy, stage.outcome)
-                for stage in outcome.report.stages] == [
+                for stage in report.stages] == [
             ("rewrite", "validated")]
         assert cascade.cost_counters.get("rewrite_skips") == 0
 
     def test_options_strategy_order_overrides_the_constructor(
             self, cascade_pair):
         cascade = cascade_pair("cost")
-        outcome = cascade.convert(
+        report = cascade.convert(
             verb_program(),
             options=VERB_OPTIONS.replace(strategy_order="fixed"))
         assert cascade.cost_counters.get("rewrite_skips") == 0
-        assert outcome.report.stages[0].strategy == "rewrite"
+        assert report.stages[0].strategy == "rewrite"
 
     def test_summary_round_trip_excludes_cost(self, cascade_pair):
-        outcome = cascade_pair("cost").convert(lookup_program(),
-                                               options=VERB_OPTIONS)
-        assert "cost" not in outcome.report.to_summary()
+        report = cascade_pair("cost").convert(lookup_program(),
+                                              options=VERB_OPTIONS)
+        assert "cost" not in report.to_summary()
 
     def test_invalid_strategy_order_rejected(self, cascade_pair):
         with pytest.raises(ValueError):

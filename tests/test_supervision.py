@@ -57,7 +57,7 @@ def corpus_programs(pathology_rate=0.25, size=6, seed=1979):
 
 def fresh_cascade(seed=1979):
     # See test_parallel.fresh_cascade: collect garbage so the cycle
-    # collector cannot shrink registry-wide metrics mid-conversion.
+    # collector cannot shrink registry-wide counter deltas mid-batch.
     import gc
 
     gc.collect()
