@@ -53,7 +53,7 @@ from repro.errors import (
 from repro.options import ConversionOptions
 from repro.parallel import ParallelExecutionError, ParallelExecutor, WorkerPool
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     # -- facade (repro.api) -------------------------------------------

@@ -150,7 +150,7 @@ def build_cascade(
 
     ``data`` is an optional loader program (STOREs) that populates the
     source database before the restructuring is applied; the cascade's
-    ``strategy_order`` and rule catalog come from ``options``.  This is
+    rule catalog comes from ``options``.  This is
     the exact construction ``repro convert`` (batch mode) and the
     conversion service share, so a served job and a shell run of the
     same artifacts validate against byte-identical probe databases.
@@ -170,7 +170,6 @@ def build_cascade(
         source_db,
         target_db,
         parsed_operator,
-        strategy_order=options.strategy_order,
         rule_catalog=options.rule_catalog,
     )
 
@@ -191,12 +190,10 @@ def convert_batch(
     serial run.  Batches below ``options.parallel_threshold`` pending
     programs auto-degrade to the in-process path.
 
-    By default (``options.strategy_order="cost"``) the cascade skips
-    the rewrite attempt when static analysis proves the analyzer would
-    refuse the program (Section 3.2 verb variability), synthesizing the
-    identical refusal; ``options.strategy_order="fixed"`` restores the
-    unconditional rewrite-first order.  Reports and checkpoints are
-    byte-identical either way.
+    The cascade skips the rewrite attempt when static analysis proves
+    the analyzer would refuse the program (Section 3.2 verb
+    variability), synthesizing the identical refusal, so reports and
+    checkpoints are byte-identical to paying for the attempt.
 
     Pass ``pool=`` (a :class:`~repro.parallel.WorkerPool` built once
     from the same cascade) to convert many batches on the same warm

@@ -79,11 +79,6 @@ class CompiledRules:
         """Change kind -> rewrite name, for ``convert_algebra``."""
         return dict(self.algebra)
 
-    def cost_hints(self) -> dict[str, int]:
-        """Rule name -> declared COST hint, for bench metadata."""
-        return {entry.name: entry.cost for entry in self.entries
-                if entry.cost is not None}
-
 
 def compile_catalog(catalog: RuleCatalog) -> CompiledRules:
     """Validate and instantiate ``catalog``."""

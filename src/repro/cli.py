@@ -152,7 +152,6 @@ def _cmd_convert_batch(args, schema, operator, programs) -> int:
         jobs=args.jobs,
         chunk_size=args.chunk_size,
         parallel_threshold=args.parallel_threshold,
-        strategy_order=args.strategy_order,
         program_timeout=args.program_timeout,
         rule_catalog=_load_rules(args))
     cascade = api.build_cascade(schema, operator, data=args.data,
@@ -426,12 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="batch mode: minimum pending programs before "
                           "a worker pool is spawned; smaller batches "
                           "run in-process (default: max(2*jobs, 32))")
-    sub.add_argument("--strategy-order", default="cost",
-                     choices=["cost", "fixed"],
-                     help="batch mode: skip rewrite attempts that "
-                          "static analysis is guaranteed to refuse "
-                          "(default), or probe every stage in the "
-                          "fixed rewrite-first order")
     sub.add_argument("--program-timeout", type=float, default=None,
                      help="batch mode: cooperative per-program watchdog "
                           "deadline in seconds; a program exceeding it "

@@ -212,9 +212,6 @@ class AbstractProgram:
                         statements: tuple[AStmt, ...]) -> "AbstractProgram":
         return replace(self, statements=statements)
 
-    def add_notes(self, *notes: str) -> "AbstractProgram":
-        return replace(self, notes=self.notes + notes)
-
 
 def children_of(stmt: AStmt) -> tuple[tuple[AStmt, ...], ...]:
     """The nested blocks of a compound (abstract or host) statement."""

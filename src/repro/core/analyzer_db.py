@@ -6,8 +6,8 @@ encode the descriptions in suitable internal representations."
 
 Input is either a restructuring operator (the paper's "definition of a
 restructuring") or just the two schemas (name-diff inference).  Output
-is a :class:`ChangeCatalog`: the classified change list plus the impact
-queries the converter and supervisor ask.
+is a :class:`ChangeCatalog`: the classified change list and the two
+schemas.
 """
 
 from __future__ import annotations
@@ -16,24 +16,11 @@ from dataclasses import dataclass, field
 
 from repro.restructure.operators import RestructuringOperator
 from repro.schema.diff import (
-    ConstraintAdded,
-    ConstraintRemoved,
     FieldAdded,
     FieldRemoved,
-    FieldRenamed,
-    MembershipChanged,
     RecordAdded,
-    RecordInterposed,
     RecordRemoved,
-    RecordRenamed,
-    RecordsMerged,
     SchemaChange,
-    SetAdded,
-    SetOrderChanged,
-    SetRemoved,
-    SetRenamed,
-    SiblingOrderChanged,
-    VirtualizedField,
     diff_schemas,
 )
 from repro.schema.model import Schema
@@ -61,57 +48,6 @@ class ChangeCatalog:
     source_schema: Schema
     target_schema: Schema
     changes: list[SchemaChange] = field(default_factory=list)
-
-    # -- impact queries --------------------------------------------------
-
-    def affected_sets(self) -> set[str]:
-        """Set names whose traversal semantics changed."""
-        names: set[str] = set()
-        for change in self.changes:
-            if isinstance(change, (SetRenamed, SetRemoved,
-                                   SetOrderChanged, MembershipChanged)):
-                names.add(getattr(change, "set_name",
-                                  getattr(change, "old_name", "")))
-            elif isinstance(change, RecordInterposed):
-                names.add(change.old_set)
-            elif isinstance(change, RecordsMerged):
-                names.add(change.upper_set)
-                names.add(change.lower_set)
-            elif isinstance(change, SiblingOrderChanged):
-                names.update(change.old_order)
-        names.discard("")
-        return names
-
-    def affected_records(self) -> set[str]:
-        names: set[str] = set()
-        for change in self.changes:
-            for attribute in ("record", "old_name", "new_record",
-                              "removed_record"):
-                value = getattr(change, attribute, None)
-                if isinstance(value, str) and \
-                        value in self.source_schema.records:
-                    names.add(value)
-        return names
-
-    def removed_fields(self) -> set[tuple[str, str]]:
-        return {
-            (change.record, change.field_name)
-            for change in self.changes
-            if isinstance(change, FieldRemoved)
-        }
-
-    def structural_changes(self) -> list[SchemaChange]:
-        return [
-            change for change in self.changes
-            if isinstance(change, (RecordInterposed, RecordsMerged,
-                                   SiblingOrderChanged))
-        ]
-
-    def constraint_changes(self) -> list[SchemaChange]:
-        return [
-            change for change in self.changes
-            if isinstance(change, (ConstraintAdded, ConstraintRemoved))
-        ]
 
     def is_information_preserving(self) -> bool:
         """No record/field removal -- the Section 1.1 precondition for
@@ -213,13 +149,3 @@ class ConversionAnalyzer:
                     f"{old_type.pic})",
                 ))
         return suggestions
-
-
-# Re-exported for convenience in reports.
-_CHANGE_ORDER = (
-    RecordRenamed, FieldRenamed, SetRenamed,
-    RecordAdded, RecordRemoved, FieldAdded, FieldRemoved,
-    SetAdded, SetRemoved, SetOrderChanged, MembershipChanged,
-    VirtualizedField, RecordInterposed, RecordsMerged,
-    SiblingOrderChanged, ConstraintAdded, ConstraintRemoved,
-)

@@ -274,15 +274,6 @@ class BatchReport:
         converted = sum(1 for r in self.reports if r.converted)
         return converted / len(self.reports)
 
-    def fallback_rate(self) -> float:
-        """Fraction served by a runtime strategy instead of rewrite."""
-        if not self.reports:
-            return 0.0
-        fell_back = sum(
-            1 for r in self.reports if r.status == STATUS_FELL_BACK
-        )
-        return fell_back / len(self.reports)
-
     def faults(self) -> list[FaultContext]:
         """The structured fault contexts of every faulted program."""
         return [r.fault for r in self.reports if r.fault is not None]

@@ -151,10 +151,6 @@ class RecordStore:
             self.metrics.records_read += 1
             yield record
 
-    def rids(self) -> list[int]:
-        """All live rids in insertion order (uncounted)."""
-        return list(self._records)
-
     def all_records(self) -> list[Record]:
         """All live records in insertion order (uncounted bulk access).
 

@@ -15,7 +15,7 @@ from repro.errors import (
     IntegrityError,
     MandatoryViolation,
 )
-from repro.network.sets import SetStore, SYSTEM_OWNER_RID
+from repro.network.sets import SetStore
 from repro.schema.constraints import Violation, check_all
 from repro.schema.model import Retention, Schema, SetType
 
@@ -340,9 +340,6 @@ class NetworkDatabase:
 
     def count(self, record_name: str) -> int:
         return len(self.store(record_name))
-
-    def system_owner_rid(self) -> int:
-        return SYSTEM_OWNER_RID
 
 
 class _MandatoryRule:

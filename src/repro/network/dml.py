@@ -53,9 +53,6 @@ class DMLSession:
         self.db.schema.record(record_name).field(field_name)
         self.uwa[record_name][field_name] = value
 
-    def uwa_values(self, record_name: str) -> dict[str, Any]:
-        return dict(self.uwa[record_name])
-
     # -- internal helpers ---------------------------------------------------
 
     def _ok(self, record: Record,

@@ -151,14 +151,6 @@ class SetStore:
             position += 1
         occurrence.insert(position, member_rid)
 
-    def drop_owner(self, owner_rid: int) -> list[int]:
-        """Forget an owner's occurrence, returning its member rids."""
-        members = self._members.pop(owner_rid, [])
-        for member_rid in members:
-            self._owner_of.pop(member_rid, None)
-            self._seq.pop(member_rid, None)
-        return members
-
     # -- queries ---------------------------------------------------------
 
     def owner(self, member_rid: int) -> int | None:
@@ -203,9 +195,6 @@ class SetStore:
     def owners(self) -> list[int]:
         """Owner rids that currently have a non-empty occurrence."""
         return list(self._members)
-
-    def occurrence_count(self) -> int:
-        return len(self._members)
 
     # -- savepoints -------------------------------------------------------
 

@@ -23,9 +23,6 @@ if TYPE_CHECKING:  # imported lazily to keep this module cycle-free
 DEFAULT_OPTIMIZER_PASSES = ("pushdown", "keyed", "calc-locate",
                             "hoist-locate", "dedup-locate", "owner-elim")
 
-#: The accepted ``strategy_order`` values (see the field below).
-STRATEGY_ORDERS = ("cost", "fixed")
-
 #: Minimum pending programs before a worker pool pays for itself.  The
 #: floor is deliberately generous: spawning an interpreter and
 #: rehydrating the cascade seed costs whole seconds, while a small
@@ -69,13 +66,6 @@ class ConversionOptions:
     # -- cascade knobs ------------------------------------------------
     #: Terminal/file inputs replayed by every validation probe.
     inputs: "ProgramInputs | None" = None
-    #: Whether the cascade may skip a rewrite attempt: ``"cost"`` runs
-    #: the :mod:`repro.cost` blocking check and skips the attempt only
-    #: when static analysis proves the analyzer would refuse (the
-    #: refusal is synthesized byte-identically); ``"fixed"`` always
-    #: probes the cascade's stage order as written.  Validation is
-    #: never skipped in either mode.
-    strategy_order: str = "cost"
 
     # -- batch knobs --------------------------------------------------
     #: Worker process count for batch conversion.  1 is the in-process
@@ -118,11 +108,6 @@ class ConversionOptions:
     def __post_init__(self) -> None:
         """Range-check the knobs every entry point trusts, so a bad
         value fails where it is set, not deep inside a batch."""
-        if self.strategy_order not in STRATEGY_ORDERS:
-            raise ValueError(
-                f"strategy_order must be one of {STRATEGY_ORDERS}, "
-                f"got {self.strategy_order!r}"
-            )
         if self.jobs is not None and self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.chunk_size is not None and self.chunk_size < 1:
@@ -166,5 +151,4 @@ __all__ = [
     "DEFAULT_OPTIMIZER_PASSES",
     "DEFAULT_PARALLEL_THRESHOLD",
     "MAX_AUTO_CHUNK",
-    "STRATEGY_ORDERS",
 ]

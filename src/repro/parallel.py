@@ -263,7 +263,6 @@ class WorkerPool:
         cascade: FallbackCascade,
         options: ConversionOptions | None = None,
         jobs: int | None = None,
-        context: str = "spawn",
     ):
         options = options if options is not None else ConversionOptions()
         self.jobs = jobs if jobs is not None else options.resolved_jobs()
@@ -272,7 +271,7 @@ class WorkerPool:
         # Spawn, not fork: fork in a threaded parent is deprecated (and
         # unsafe), and spawn gives each worker the clean interpreter
         # the rehydration contract assumes.
-        ctx = get_context(context)
+        ctx = get_context("spawn")
         self._ctx = ctx
         self.seed_blob = pickle.dumps((cascade, options))
         self._results = ctx.Queue()

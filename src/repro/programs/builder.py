@@ -238,12 +238,6 @@ def scan_set(record: str, set_name: str,
     ]
 
 
-def scan_system(record: str, set_name: str,
-                body: Sequence[Stmt]) -> list[Stmt]:
-    """Scan a SYSTEM-owned set (database entry sweep)."""
-    return scan_set(record, set_name, body)
-
-
 def process_first(record: str, set_name: str,
                   body: Sequence[Stmt]) -> list[Stmt]:
     """The Section 3.2 'process the first' shape: the programmer

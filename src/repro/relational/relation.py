@@ -79,10 +79,6 @@ class Relation:
         self._indexes[key_columns] = index
         return index
 
-    def indexed_columns(self) -> list[tuple[str, ...]]:
-        """The column tuples with maintained indexes."""
-        return list(self._indexes)
-
     def _index_insert(self, rid: int, row: dict[str, Any]) -> None:
         for key_columns, index in self._indexes.items():
             index.insert(tuple(row[c] for c in key_columns), rid)

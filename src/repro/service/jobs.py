@@ -86,7 +86,6 @@ SUBMISSION_OPTIONS: dict[str, tuple[type, ...]] = {
     "jobs": (int,),
     "chunk_size": (int,),
     "parallel_threshold": (int,),
-    "strategy_order": (str,),
     "program_timeout": (int, float),
 }
 
@@ -385,7 +384,6 @@ def pool_key(submission: dict[str, Any]) -> str:
         "rules": submission.get("rules"),
         "inputs": submission.get("inputs", []),
         "jobs": options.get("jobs"),
-        "strategy_order": options.get("strategy_order", "cost"),
         "program_timeout": options.get("program_timeout"),
     }
     blob = json.dumps(relevant, sort_keys=True).encode("utf-8")
@@ -601,7 +599,6 @@ class JobManager:
             jobs=submitted.get("jobs", 1),
             chunk_size=submitted.get("chunk_size"),
             parallel_threshold=submitted.get("parallel_threshold"),
-            strategy_order=submitted.get("strategy_order", "cost"),
             program_timeout=submitted.get("program_timeout"),
         )
 

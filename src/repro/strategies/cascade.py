@@ -13,17 +13,15 @@ Every probe runs inside an engine savepoint and is rolled back, so
 validation leaves both databases byte-identical to their pre-call
 state no matter which stages fault.
 
-With ``strategy_order="cost"`` (the default) the cascade runs the
-:mod:`repro.cost` blocking check before paying for a rewrite attempt.
-The check is *sound pruning only*: the rewrite stage is skipped
-exactly when static analysis proves the program analyzer would refuse
-it (Section 3.2 verb variability; the analyzer's refusal text is
-synthesized byte-for-byte, and the Conversion Analyst is asked the
-same ``pin-verb`` question at the same point, so scripted analysts see
-an identical transcript).  Each skip bumps the ``cost.rewrite_skips``
-counter.  Validation of whichever strategy does run is never skipped,
-and ``strategy_order="fixed"`` restores the unconditional
-rewrite-first probe.
+Before paying for a rewrite attempt the cascade runs the
+:mod:`repro.cost` blocking check.  The check is *sound pruning only*:
+the rewrite stage is skipped exactly when static analysis proves the
+program analyzer would refuse it (Section 3.2 verb variability; the
+analyzer's refusal text is synthesized byte-for-byte, and the
+Conversion Analyst is asked the same ``pin-verb`` question at the same
+point, so scripted analysts see an identical transcript).  Each skip
+bumps the ``cost.rewrite_skips`` counter.  Validation of whichever
+strategy does run is never skipped.
 
 Stage outcomes land in :class:`~repro.core.report.ConversionReport`:
 
@@ -36,7 +34,7 @@ Stage outcomes land in :class:`~repro.core.report.ConversionReport`:
 
 from __future__ import annotations
 
-from repro.core.analyzer_db import ChangeCatalog, ConversionAnalyzer
+from repro.core.analyzer_db import ConversionAnalyzer
 from repro.core.analyzer_program import blocking_failure
 from repro.core.optimizer import CostModel
 from repro.core.report import (
@@ -53,7 +51,7 @@ from repro.cost import CostPredictor
 from repro.errors import AnalysisError, PipelineFault
 from repro.network.database import NetworkDatabase
 from repro.observe.registry import NamedCounters
-from repro.options import STRATEGY_ORDERS, ConversionOptions
+from repro.options import ConversionOptions
 from repro.observe.tracing import span
 from repro.programs.ast import Program
 from repro.programs.interpreter import ProgramInputs, run_program
@@ -84,29 +82,26 @@ class FallbackCascade:
                  target_db: NetworkDatabase,
                  operator: RestructuringOperator,
                  analyst: Analyst | None = None,
-                 catalog: ChangeCatalog | None = None,
                  order: tuple[str, ...] = DEFAULT_ORDER,
-                 strategy_order: str = "cost",
                  rule_catalog=None):
         unknown = set(order) - set(DEFAULT_ORDER)
         if unknown:
             raise ValueError(f"unknown cascade stages: {sorted(unknown)}")
-        if strategy_order not in STRATEGY_ORDERS:
-            raise ValueError(
-                f"strategy_order must be one of {STRATEGY_ORDERS}, "
-                f"got {strategy_order!r}"
-            )
         self.source_db = source_db
         self.target_db = target_db
         self.operator = operator
         self.analyst = analyst
-        self.catalog = catalog if catalog is not None else \
-            ConversionAnalyzer().analyze_operator(source_db.schema, operator)
+        self.catalog = ConversionAnalyzer().analyze_operator(
+            source_db.schema, operator)
         self.order = tuple(order)
-        self.strategy_order = strategy_order
-        #: Rule catalog for the rewrite stage's supervisor (``None``:
-        #: the builtin catalog).  Distinct from ``self.catalog``, the
-        #: ChangeCatalog of classified schema changes.
+        if rule_catalog is not None:
+            from repro.catalog.compile import compile_catalog
+
+            rule_catalog = compile_catalog(rule_catalog)
+        #: The rewrite stage's rule catalog, compiled once here rather
+        #: than by every attempt's supervisor (``None``: the builtin
+        #: catalog).  Distinct from ``self.catalog``, the ChangeCatalog
+        #: of classified schema changes.
         self.rule_catalog = rule_catalog
         # The optimizer's cardinality model is taken once, eagerly:
         # probes roll back every mutation, so the counts never drift
@@ -171,16 +166,12 @@ class FallbackCascade:
         """Run the cascade under a ``cascade.convert`` span and return
         the program's report."""
         inputs = options.inputs if options is not None else None
-        strategy_order = (options.strategy_order if options is not None
-                          else self.strategy_order)
-        use_cost = strategy_order == "cost"
         with span("cascade.convert", program=program.name):
-            blocking = self.predictor.predict(program) if use_cost else ()
+            blocking = self.predictor.predict(program)
             return self._convert(program, inputs, blocking)
 
-    def _convert(self, program: Program,
-                 inputs: ProgramInputs | None = None,
-                 blocking: tuple[str, ...] = ()) -> ConversionReport:
+    def _convert(self, program: Program, inputs: ProgramInputs | None,
+                 blocking: tuple[str, ...]) -> ConversionReport:
         inputs = inputs or ProgramInputs()
         reference = self.reference_trace(program, inputs)
 
@@ -255,7 +246,7 @@ class FallbackCascade:
         program fails regardless of the analyst's answer -- but the
         ``pin-verb`` question is still posed (and posed here, at the
         same point), keeping stateful analysts' transcripts identical
-        to a fixed-order run.
+        to a run that pays for the attempt.
         """
         # The supervisor's _phase wrapper annotates the raised error
         # with program/phase context before str()-ing it into the

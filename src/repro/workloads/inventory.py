@@ -412,11 +412,9 @@ def _store_shape(kind: str, index: int, gen: DataGen,
     raise ValueError(f"unknown store inventory kind {kind!r}")
 
 
-def inventory_cascade(spec: InventorySpec | None = None,
-                      **cascade_kwargs):
+def inventory_cascade(spec: InventorySpec | None = None):
     """A ready-to-run cascade: inventory database through the Figure
-    4.4 DEPT interposition (imports deferred to stay cycle-free).
-    Extra keyword arguments (e.g. ``strategy_order=``) forward to the :class:`FallbackCascade` constructor."""
+    4.4 DEPT interposition (imports deferred to stay cycle-free)."""
     from repro.restructure import restructure_database
     from repro.strategies.cascade import FallbackCascade
 
@@ -424,8 +422,7 @@ def inventory_cascade(spec: InventorySpec | None = None,
     operator = figure_44_operator()
     source_db = inventory_database(spec)
     _schema, target_db = restructure_database(source_db, operator)
-    return FallbackCascade(source_db, target_db, operator,
-                           **cascade_kwargs)
+    return FallbackCascade(source_db, target_db, operator)
 
 
 def render_corpus(corpus: list[CorpusProgram]) -> str:

@@ -357,6 +357,29 @@ def test_explicit_builtin_catalog_is_byte_identical(tmp_path, jobs):
     assert results["default"][1] == results["explicit"][1]
 
 
+def test_custom_catalog_compiles_once_per_cascade(monkeypatch):
+    """The cascade compiles a custom catalog when it is built; no
+    rewrite attempt of the batch compiles it again."""
+    from repro.catalog import compile as compile_module
+
+    calls = []
+
+    def counting(catalog):
+        calls.append(catalog)
+        return compile_catalog(catalog)
+
+    monkeypatch.setattr(compile_module, "compile_catalog", counting)
+    programs = [item.program for item in generate_corpus(
+        CorpusSpec(seed=1979, size=8, pathology_rate=0.25))]
+    options = ConversionOptions(inputs=ProgramInputs(terminal=["STORE"]),
+                                rule_catalog=api.default_catalog())
+    cascade = api.build_cascade(FIGURE_4_3_DDL, FIG44_SPEC,
+                                options=options)
+    batch = api.convert_batch(cascade, programs, options)
+    assert any(report.strategy == "rewrite" for report in batch.reports)
+    assert len(calls) == 1
+
+
 # -- the shipped store-default example --------------------------------
 
 

@@ -316,6 +316,17 @@ def test_convert_batch_resume_completes_remainder(batch_artifacts, capsys):
         ["REPORT", "HIRE"]
 
 
+def test_convert_refuses_the_retired_strategy_order_flag(artifacts, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["convert", "--ddl", artifacts["ddl"],
+              "--spec", artifacts["spec"],
+              "--program", artifacts["program"],
+              "--strategy-order", "fixed"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --strategy-order fixed" in \
+        capsys.readouterr().err
+
+
 def test_convert_batch_nonzero_when_any_program_fails(batch_artifacts,
                                                       tmp_path, capsys):
     """One unconvertible program fails its batch slot (exit 1) while

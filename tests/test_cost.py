@@ -1,7 +1,7 @@
 """The rewrite-skip check (repro.cost), the cost-gated optimizer
-passes, and the cost-ordered cascade.
+passes, and the cascade's rewrite skip.
 
-The load-bearing invariant throughout: cost ordering is *sound pruning
+The load-bearing invariant throughout: the skip is *sound pruning
 only*.  The cascade may skip a rewrite attempt exactly when static
 analysis proves the analyzer would refuse the program, and the skipped
 path must synthesize byte-identical reports, checkpoints, and analyst
@@ -27,9 +27,13 @@ from repro.restructure import restructure_database
 from repro.strategies import FallbackCascade
 from repro.workloads import company
 from repro.workloads.inventory import (
+    CLEAN_KINDS,
+    INVENTORY_PATHOLOGY_KINDS,
+    STORE_KINDS,
     InventorySpec,
     generate_inventory,
     inventory_cascade,
+    inventory_schema,
 )
 
 MODEL = CostModel({"DIV": 2, "EMP": 40})
@@ -66,15 +70,37 @@ def verb_program(name="VERB-VAR"):
     ])
 
 
+def one_program_per_inventory_kind():
+    """The first program of every ``generate_inventory`` kind."""
+    spec = InventorySpec(programs=120, pathology_rate=0.5,
+                         sweep_statements=20)
+    firsts = {}
+    for item in generate_inventory(spec):
+        firsts.setdefault(item.kind, item.program)
+    assert set(firsts) == {*CLEAN_KINDS, *STORE_KINDS,
+                           *INVENTORY_PATHOLOGY_KINDS}
+    return inventory_schema(spec), firsts
+
+
 class TestPredictor:
     def test_blocking_details_match_the_detector(self, company_schema):
-        program = verb_program()
-        blocking = CostPredictor().predict(program)
-        assert blocking == (VERB_VARIABILITY_DETAIL,)
-        # The check's verdict is the analyzer's own refusal.
-        with pytest.raises(AnalysisError) as refused:
-            ProgramAnalyzer(company_schema).analyze(program)
-        assert str(refused.value) == blocking_failure(blocking)
+        assert CostPredictor().predict(verb_program()) == \
+            (VERB_VARIABILITY_DETAIL,)
+        # The check's verdict is the analyzer's own refusal, and it
+        # blocks nothing the analyzer accepts: the skip never drops a
+        # convertible program.
+        inventory, firsts = one_program_per_inventory_kind()
+        cases = [("verb-program", verb_program(), company_schema)]
+        cases += [(kind, first, inventory) for kind, first in firsts.items()]
+        for kind, program, schema in cases:
+            blocking = CostPredictor().predict(program)
+            try:
+                ProgramAnalyzer(schema).analyze(program)
+            except AnalysisError as refused:
+                assert blocking, f"{kind}: refused but not predicted"
+                assert str(refused) == blocking_failure(blocking), kind
+            else:
+                assert blocking == (), f"{kind}: predicted but accepted"
 
     def test_constant_verb_is_not_blocking(self):
         program = b.program("T", "network", "C", [
@@ -213,15 +239,29 @@ class TestOptimizerHoistLocate:
         assert out == (loop,)
 
 
+class NeverBlocking:
+    """A ``cascade.predictor`` double whose check never blocks, so the
+    cascade pays for every rewrite attempt: the no-skip side of the
+    byte-identity comparisons."""
+
+    def predict(self, program):
+        return ()
+
+
+def without_skip(cascade):
+    cascade.predictor = NeverBlocking()
+    return cascade
+
+
 @pytest.fixture
 def cascade_pair(interpose_operator):
-    def build(strategy_order, analyst=None):
+    def build(skip=True, analyst=None):
         source_db = company.company_db(seed=42)
         _schema, target_db = restructure_database(source_db,
                                                   interpose_operator)
-        return FallbackCascade(source_db, target_db, interpose_operator,
-                               analyst=analyst,
-                               strategy_order=strategy_order)
+        cascade = FallbackCascade(source_db, target_db, interpose_operator,
+                                  analyst=analyst)
+        return cascade if skip else without_skip(cascade)
     return build
 
 
@@ -231,12 +271,13 @@ VERB_OPTIONS = ConversionOptions(inputs=ProgramInputs(terminal=["STORE"]))
 class TestCostOrderedCascade:
     def test_blocking_program_skips_rewrite_byte_identically(
             self, cascade_pair):
-        fixed = cascade_pair("fixed").convert(
-            verb_program(), options=VERB_OPTIONS.replace(
-                strategy_order="fixed"))
-        cost_cascade = cascade_pair("cost")
+        attempted_cascade = cascade_pair(skip=False)
+        attempted = attempted_cascade.convert(verb_program(),
+                                              options=VERB_OPTIONS)
+        assert attempted_cascade.cost_counters.get("rewrite_skips") == 0
+        cost_cascade = cascade_pair()
         cost = cost_cascade.convert(verb_program(), options=VERB_OPTIONS)
-        assert cost.to_summary() == fixed.to_summary()
+        assert cost.to_summary() == attempted.to_summary()
         assert cost.strategy == "emulation"
         assert cost_cascade.cost_counters.get("rewrite_skips") == 1
         assert [(stage.strategy, stage.outcome)
@@ -245,20 +286,19 @@ class TestCostOrderedCascade:
 
     def test_analyst_transcripts_are_identical(self, cascade_pair):
         transcripts = {}
-        for order in ("fixed", "cost"):
+        for skip in (False, True):
             analyst = ScriptedAnalyst({})
-            cascade_pair(order, analyst=analyst).convert(
-                verb_program(), options=VERB_OPTIONS.replace(
-                    strategy_order=order))
-            transcripts[order] = [
+            cascade_pair(skip, analyst=analyst).convert(
+                verb_program(), options=VERB_OPTIONS)
+            transcripts[skip] = [
                 (question.render(), answer)
                 for question, answer in analyst.transcript
             ]
-        assert transcripts["cost"] == transcripts["fixed"]
-        assert transcripts["cost"], "the pin-verb question must be posed"
+        assert transcripts[True] == transcripts[False]
+        assert transcripts[True], "the pin-verb question must be posed"
 
     def test_clean_program_pays_the_attempt(self, cascade_pair):
-        cascade = cascade_pair("cost")
+        cascade = cascade_pair()
         report = cascade.convert(lookup_program(),
                                  options=VERB_OPTIONS)
         assert report.strategy == "rewrite"
@@ -267,23 +307,10 @@ class TestCostOrderedCascade:
             ("rewrite", "validated")]
         assert cascade.cost_counters.get("rewrite_skips") == 0
 
-    def test_options_strategy_order_overrides_the_constructor(
-            self, cascade_pair):
-        cascade = cascade_pair("cost")
-        report = cascade.convert(
-            verb_program(),
-            options=VERB_OPTIONS.replace(strategy_order="fixed"))
-        assert cascade.cost_counters.get("rewrite_skips") == 0
-        assert report.stages[0].strategy == "rewrite"
-
     def test_summary_round_trip_excludes_cost(self, cascade_pair):
-        report = cascade_pair("cost").convert(lookup_program(),
-                                              options=VERB_OPTIONS)
+        report = cascade_pair().convert(lookup_program(),
+                                        options=VERB_OPTIONS)
         assert "cost" not in report.to_summary()
-
-    def test_invalid_strategy_order_rejected(self, cascade_pair):
-        with pytest.raises(ValueError):
-            cascade_pair("greedy")
 
 
 BATCH_OPTIONS = ConversionOptions(inputs=ProgramInputs(terminal=["STORE"]),
@@ -291,9 +318,9 @@ BATCH_OPTIONS = ConversionOptions(inputs=ProgramInputs(terminal=["STORE"]),
 
 
 class TestByteIdentityMatrix:
-    """Cost-ordered output must be indistinguishable from fixed-order
-    output (reports and checkpoints) at jobs in {1, 4} and pathology
-    rates {0, 0.75}."""
+    """Output with the rewrite skip must be indistinguishable from
+    output without it (reports and checkpoints) at jobs in {1, 4} and
+    pathology rates {0, 0.75}."""
 
     @pytest.mark.parametrize("rate", [0.0, 0.75])
     def test_cost_vs_fixed_vs_parallel(self, rate, tmp_path):
@@ -301,11 +328,10 @@ class TestByteIdentityMatrix:
                              sweep_statements=300)
         programs = [item.program for item in generate_inventory(spec)]
 
-        fixed_path = tmp_path / "fixed.json"
-        fixed = run_batch(
-            inventory_cascade(spec, strategy_order="fixed"), programs,
-            BATCH_OPTIONS.replace(strategy_order="fixed",
-                                  checkpoint=fixed_path))
+        no_skip_path = tmp_path / "no-skip.json"
+        no_skip = run_batch(
+            without_skip(inventory_cascade(spec)), programs,
+            BATCH_OPTIONS.replace(checkpoint=no_skip_path))
 
         cost_path = tmp_path / "cost.json"
         serial_cascade = inventory_cascade(spec)
@@ -321,9 +347,9 @@ class TestByteIdentityMatrix:
         def summaries(batch):
             return [report.to_summary() for report in batch.reports]
 
-        assert summaries(serial) == summaries(fixed)
+        assert summaries(serial) == summaries(no_skip)
         assert summaries(parallel) == summaries(serial)
-        assert cost_path.read_bytes() == fixed_path.read_bytes()
+        assert cost_path.read_bytes() == no_skip_path.read_bytes()
         assert parallel_path.read_bytes() == cost_path.read_bytes()
 
     def test_skips_happen_only_on_pathological_corpora(self, tmp_path):

@@ -205,7 +205,7 @@ def test_sse_format_is_byte_stable():
     (lambda p: p.update(options={"bogus": 1}), "unknown option"),
     (lambda p: p.update(options={"jobs": "two"}), "'jobs'"),
     (lambda p: p.update(options={"strategy_order": "random"}),
-     "strategy_order"),
+     "unknown option 'strategy_order'"),
     (lambda p: p.update(options={"jobs": 0}), "jobs must be >= 1"),
     (lambda p: p.update(options={"jobs": 2, "parallel_threshold": -1}),
      "parallel_threshold must be >= 0"),
@@ -233,7 +233,7 @@ def test_pool_key_ignores_service_side_fields():
     a, b = submission(2), submission(5)
     assert pool_key(a) == pool_key(b)  # program list is not in the seed
     assert pool_key(a) != pool_key(
-        submission(2, options={"strategy_order": "fixed"}))
+        submission(2, options={"program_timeout": 30}))
 
 
 # -- the job manager ---------------------------------------------------
@@ -536,6 +536,12 @@ def test_http_errors(service):
         post_json(service, "/jobs", {"ddl": "x"})
     assert err.value.code == 400
     with pytest.raises(urllib.error.HTTPError) as err:
+        post_json(service, "/jobs",
+                  submission(2, options={"strategy_order": "fixed"}))
+    assert err.value.code == 400
+    assert "unknown option 'strategy_order'" in \
+        json.loads(err.value.read())["error"]
+    with pytest.raises(urllib.error.HTTPError) as err:
         get_json(service, "/jobs/job-999999")
     assert err.value.code == 404
     with pytest.raises(urllib.error.HTTPError) as err:
@@ -651,6 +657,31 @@ def test_shutdown_mid_batch_then_resume_is_byte_identical(
                          final["links"]["checkpoint"]) == checkpoint_bytes
     finally:
         restarted.stop()
+
+
+def test_manifest_naming_strategy_order_still_resumes(tmp_path):
+    """A manifest spooled before 6.0.0 may name the retired
+    ``strategy_order`` option: the job restores, resumes, and converts
+    to the shell run's bytes."""
+    normalized = validate_submission(submission())
+    normalized["options"] = {"strategy_order": "fixed"}
+    job_dir = tmp_path / "spool" / "job-000001"
+    job_dir.mkdir(parents=True)
+    (job_dir / "job.json").write_text(json.dumps({
+        "version": jobs_mod.MANIFEST_VERSION, "id": "job-000001",
+        "state": jobs_mod.STATE_QUEUED, "error": None, "done": 0,
+        "total": 3, "counts": {}, "submission": normalized}))
+    manager = JobManager(tmp_path / "spool")
+    try:
+        job = manager.jobs["job-000001"]
+        assert job.state == jobs_mod.STATE_INTERRUPTED
+        manager.resume_job(job.id)
+        assert wait_terminal(job) == jobs_mod.STATE_COMPLETED
+        report_bytes, checkpoint_bytes = cli_reference_run(tmp_path)
+        assert job.report_path.read_bytes() == report_bytes
+        assert job.checkpoint_path.read_bytes() == checkpoint_bytes
+    finally:
+        manager.stop()
 
 
 def test_stop_parks_queued_jobs_resumably(tmp_path, monkeypatch):
