@@ -51,6 +51,7 @@ from repro.core.report import (
     STATUS_FAILED,
     STATUS_QUARANTINED,
 )
+from repro.engine.savepoint import Savepoint
 from repro.errors import ReproError
 from repro.faultinject import KIND_KILL_WORKER, FaultPlan, WorkerKilled
 from repro.jsonio import (
@@ -466,11 +467,14 @@ def convert_one(cascade: FallbackCascade, program: Program,
     are byte-identical at any jobs count.  In a pool worker a kill
     fault never reaches this handler (the process exits).
     """
-    source_sp = cascade.source_db.savepoint()
-    target_sp = cascade.target_db.savepoint()
     plan = options.fault_plan
     kills = 0
     while True:
+        # Fresh savepoints per attempt: a rollback ends its savepoint.
+        # Every path that does not roll them back releases them, or
+        # the databases would go on logging for the rest of the batch.
+        source_sp = cascade.source_db.savepoint()
+        target_sp = cascade.target_db.savepoint()
         try:
             with program_deadline(options.program_timeout):
                 if plan:
@@ -478,22 +482,41 @@ def convert_one(cascade: FallbackCascade, program: Program,
                         "source_db": cascade.source_db,
                         "target_db": cascade.target_db,
                     }):
-                        return cascade.convert(program, options=options)
-                return cascade.convert(program, options=options)
+                        report = cascade.convert(program, options=options)
+                else:
+                    report = cascade.convert(program, options=options)
         except WorkerKilled:
-            cascade.source_db.rollback(source_sp)
-            cascade.target_db.rollback(target_sp)
+            _rollback(cascade, source_sp, target_sp)
             kills += 1
             if kills >= MAX_PROGRAM_RETRIES:
                 named_counters("supervision").bump("quarantined")
                 return quarantine_report(program.name, kills, plan)
             continue
         except Exception as exc:
-            cascade.source_db.rollback(source_sp)
-            cascade.target_db.rollback(target_sp)
+            _rollback(cascade, source_sp, target_sp)
             fault = FaultContext.from_exception(exc, program=program.name,
                                                 phase="convert-batch")
             report = ConversionReport(program.name, STATUS_FAILED)
             report.failure = str(exc)
             report.fault = fault
             return report
+        except BaseException:
+            _release(cascade, source_sp, target_sp)
+            raise
+        _release(cascade, source_sp, target_sp)
+        return report
+
+
+def _rollback(cascade: FallbackCascade, source_sp: Savepoint,
+              target_sp: Savepoint) -> None:
+    """Restore both databases; the newer savepoint goes first, which
+    matters only when both are the same database."""
+    cascade.target_db.rollback(target_sp)
+    cascade.source_db.rollback(source_sp)
+
+
+def _release(cascade: FallbackCascade, source_sp: Savepoint,
+             target_sp: Savepoint) -> None:
+    """End both savepoints, keeping the databases as they are."""
+    cascade.target_db.release(target_sp)
+    cascade.source_db.release(source_sp)

@@ -146,15 +146,20 @@ class ConversionSupervisor:
                  optimizer_passes: tuple[str, ...] =
                  DEFAULT_OPTIMIZER_PASSES,
                  verb_pins: dict[str, dict[int, str]] | None = None,
-                 rule_catalog=None):
-        analyzer = ConversionAnalyzer()
-        if operator is not None:
-            self.catalog: ChangeCatalog = analyzer.analyze_operator(
+                 rule_catalog=None,
+                 catalog: ChangeCatalog | None = None):
+        # ``catalog`` hands in a ChangeCatalog already derived from the
+        # same source schema and operator (the cascade's), so a
+        # supervisor built per attempt does not analyze again.
+        if catalog is not None:
+            self.catalog: ChangeCatalog = catalog
+        elif operator is not None:
+            self.catalog = ConversionAnalyzer().analyze_operator(
                 source_schema, operator
             )
         elif target_schema is not None:
-            self.catalog = analyzer.analyze_schemas(source_schema,
-                                                    target_schema)
+            self.catalog = ConversionAnalyzer().analyze_schemas(
+                source_schema, target_schema)
         else:
             raise ValueError("supervisor needs an operator or a target schema")
         # ``rule_catalog`` accepts a RuleCatalog or a pre-compiled

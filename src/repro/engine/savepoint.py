@@ -1,4 +1,4 @@
-"""Savepoints: cheap capture-and-restore of engine state.
+"""Savepoints: one undo log per database.
 
 The conversion pipeline routinely runs *candidate* work against a live
 database -- a probe execution validating a strategy, an emulated verb
@@ -11,21 +11,33 @@ the exact pre-call state instead of corrupting the instance.
 
 Design:
 
-* a :class:`Savepoint` is an opaque token tied to the object that
-  created it; handing it to a different instance raises
+* each database owns one :class:`UndoLog`, shared by every structure
+  inside it: record stores, set stores, CALC and relational hash
+  indexes, relation rows, hierarchical parent links and twin buckets;
+* while at least one savepoint is open, every primitive mutation
+  appends its inverse to the log.  With none open
+  :attr:`UndoLog.entries` is ``None`` and nothing is logged, so
+  loading and translation pay nothing.  A mutator computes everything
+  that can raise before its first change, or logs each change as it
+  makes it, so a refused call never leaves a change the log missed;
+* :meth:`UndoLog.savepoint` only marks the log, and
+  :meth:`UndoLog.rollback` undoes the entries above the mark, newest
+  first: both cost O(writes since the mark), not O(database).  An
+  inverse restores order as well as content -- a re-inserted key goes
+  back to its old place in every iteration order a caller can see;
+* a rollback ends its savepoint and every savepoint taken after it;
+  :meth:`UndoLog.release` ends them without undoing anything.  Ending
+  the last open savepoint empties the log and turns logging off.  An
+  ended token, or one issued by another object, raises
   :class:`~repro.errors.SavepointMismatch`;
-* record payloads are captured by *sharing*: :class:`Record` objects
-  are immutable, so a savepoint holds shallow dict copies and the
-  store keeps mutating its live dict (copy-on-write in effect);
-* mutable side structures (set occurrences, sibling buckets, relation
-  rows) are copied at savepoint time and secondary indexes are either
-  snapshot (hash buckets) or rebuilt on rollback;
-* rollback bumps the storage generation so any in-flight
-  generation-checked scan fails loudly rather than resuming over
-  restored state.
+* after every rollback the log runs its settle hooks: each record store
+  bumps its generation, so an in-flight generation-checked scan fails
+  loudly instead of resuming over restored state, and derived caches
+  (the hierarchical preorder, the relational position maps) are
+  dropped.
 
-Savepoints nest freely (each is an independent capture) and surviving
-tokens may be rolled back more than once.
+Metrics are never restored: a rolled-back probe still did the work it
+did.
 """
 
 from __future__ import annotations
@@ -33,8 +45,8 @@ from __future__ import annotations
 import hashlib
 import pickle
 from dataclasses import dataclass, field
-from itertools import count
-from typing import Any
+from itertools import count, islice
+from typing import Any, Callable, Hashable
 
 from repro.errors import SavepointMismatch
 
@@ -43,28 +55,16 @@ _SERIAL = count(1)
 
 @dataclass(frozen=True)
 class Savepoint:
-    """Opaque captured state of one object.
+    """An opaque mark in one object's undo log.
 
     ``owner_id`` pins the token to the instance that issued it;
-    ``payload`` is whatever that instance needs to restore itself
-    (never inspected here); ``parts`` holds nested savepoints of
-    sub-objects (stores inside a database, indexes inside a store).
+    ``mark`` is the length of the log when it was taken.
     """
 
     kind: str
     owner_id: int
-    payload: Any = None
-    parts: dict[str, "Savepoint"] = field(default_factory=dict)
+    mark: int
     serial: int = field(default_factory=lambda: next(_SERIAL))
-
-    def part(self, name: str) -> "Savepoint":
-        try:
-            return self.parts[name]
-        except KeyError:
-            raise SavepointMismatch(
-                f"savepoint {self.kind}#{self.serial} has no part {name!r} "
-                "(schema changed between savepoint and rollback?)"
-            ) from None
 
 
 def check_owner(savepoint: Savepoint, kind: str, owner: object) -> None:
@@ -74,6 +74,87 @@ def check_owner(savepoint: Savepoint, kind: str, owner: object) -> None:
             f"savepoint {savepoint.kind}#{savepoint.serial} does not "
             f"belong to this {kind}"
         )
+
+
+class UndoLog:
+    """The inverses of one database's mutations since its oldest open
+    savepoint.
+
+    An entry is a tuple ``(undo, *args)``; rolling it back calls
+    ``undo(*args)``.  Entries name the structure they change (a store,
+    an index, a relation) and look its containers up when undone, so
+    an undo never writes into a container a later change replaced.
+    """
+
+    def __init__(self) -> None:
+        #: Inverse operations, oldest first; ``None`` while no savepoint
+        #: is open, which tells every mutator not to log.
+        self.entries: list[tuple] | None = None
+        self._open: list[Savepoint] = []
+        self._settle: list[Callable[[], None]] = []
+
+    def on_rollback(self, hook: Callable[[], None]) -> None:
+        """Call ``hook`` after every rollback, once the undo is done."""
+        self._settle.append(hook)
+
+    def savepoint(self, kind: str, owner: object) -> Savepoint:
+        """Mark the log; from now until the savepoint ends, mutations
+        are logged."""
+        if self.entries is None:
+            self.entries = []
+        savepoint = Savepoint(kind, id(owner), len(self.entries))
+        self._open.append(savepoint)
+        return savepoint
+
+    def rollback(self, savepoint: Savepoint, kind: str,
+                 owner: object) -> None:
+        """Undo every mutation since ``savepoint``, newest first, then
+        end it and every savepoint taken after it."""
+        depth = self._depth(savepoint, kind, owner)
+        entries = self.entries
+        while len(entries) > savepoint.mark:
+            undo, *args = entries.pop()
+            undo(*args)
+        self._end(depth)
+        for hook in self._settle:
+            hook()
+
+    def release(self, savepoint: Savepoint, kind: str,
+                owner: object) -> None:
+        """End ``savepoint`` and every savepoint taken after it, keeping
+        their changes."""
+        self._end(self._depth(savepoint, kind, owner))
+
+    def _depth(self, savepoint: Savepoint, kind: str, owner: object) -> int:
+        check_owner(savepoint, kind, owner)
+        for depth, open_savepoint in enumerate(self._open):
+            if open_savepoint.serial == savepoint.serial:
+                return depth
+        raise SavepointMismatch(
+            f"savepoint {savepoint.kind}#{savepoint.serial} has ended "
+            "(rolled back or released)"
+        )
+
+    def _end(self, depth: int) -> None:
+        del self._open[depth:]
+        if not self._open:
+            self.entries = None
+
+
+def key_position(mapping: dict, key: Hashable) -> int:
+    """The place of ``key`` in ``mapping``'s iteration order."""
+    return list(mapping).index(key)
+
+
+def reinsert(mapping: dict, position: int, key: Hashable,
+             value: Any) -> None:
+    """Put ``key`` back at ``position`` of ``mapping``'s iteration order
+    (undoing its deletion from there), in place."""
+    tail = list(islice(mapping.items(), position, None))
+    for tail_key, _value in tail:
+        del mapping[tail_key]
+    mapping[key] = value
+    mapping.update(tail)
 
 
 def fingerprint(state: Any) -> str:

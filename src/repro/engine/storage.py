@@ -13,7 +13,7 @@ from typing import Any, Iterable, Iterator
 
 from repro.errors import RecordNotFound
 from repro.engine.metrics import Metrics
-from repro.engine.savepoint import Savepoint, check_owner
+from repro.engine.savepoint import Savepoint, UndoLog
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,24 @@ class Record:
 class RecordStore:
     """Insertion-ordered storage for the instances of one record type."""
 
-    def __init__(self, type_name: str, metrics: Metrics | None = None):
+    def __init__(self, type_name: str, metrics: Metrics | None = None,
+                 undo: UndoLog | None = None):
         self.type_name = type_name
         self.metrics = metrics if metrics is not None else Metrics()
+        #: Ascending rid order, which is scan and fingerprint order
+        #: (rids only grow, and an undone delete is re-sorted).
         self._records: dict[int, Record] = {}
         self._next_rid = 1
-        # Bumped on structural change (insert/delete/clear); scans check
-        # it so they can iterate the live dict without a defensive copy.
+        # Bumped on structural change (insert/delete/clear) and on every
+        # rollback; scans check it so they can iterate the live dict
+        # without a defensive copy.
         self._generation = 0
+        #: The undo log this store writes to: its database's, or its own
+        #: when it stands alone.
+        self._undo = undo if undo is not None else UndoLog()
+        self._undo.on_rollback(self._settle)
+        # Set when an undone delete re-added a rid out of order.
+        self._unsorted = False
 
     def __len__(self) -> int:
         return len(self._records)
@@ -65,11 +75,14 @@ class RecordStore:
     def insert(self, values: dict[str, Any]) -> Record:
         """Store a new record and return it (with its assigned rid)."""
         rid = self._next_rid
-        self._next_rid += 1
         record = Record(rid, self.type_name, dict(values))
         self._records[rid] = record
+        self._next_rid = rid + 1
         self._generation += 1
         self.metrics.records_written += 1
+        log = self._undo.entries
+        if log is not None:
+            log.append((self._truncate, rid))
         return record
 
     def insert_many(self, rows: Iterable[dict[str, Any]]) -> list[Record]:
@@ -78,16 +91,19 @@ class RecordStore:
         Equivalent to inserting each row in order (same rids, same
         iteration order) but with the per-row bookkeeping amortized.
         """
-        records = []
-        rid = self._next_rid
-        for values in rows:
-            record = Record(rid, self.type_name, dict(values))
-            self._records[rid] = record
-            records.append(record)
-            rid += 1
-        self._next_rid = rid
+        first = self._next_rid
+        records = [
+            Record(rid, self.type_name, dict(values))
+            for rid, values in enumerate(rows, start=first)
+        ]
+        for record in records:
+            self._records[record.rid] = record
+        self._next_rid = first + len(records)
         self._generation += 1
         self.metrics.records_written += len(records)
+        log = self._undo.entries
+        if log is not None and records:
+            log.append((self._truncate, first))
         return records
 
     def fetch(self, rid: int) -> Record:
@@ -117,6 +133,9 @@ class RecordStore:
         new_record = current.with_values(**updates)
         self._records[rid] = new_record
         self.metrics.records_written += 1
+        log = self._undo.entries
+        if log is not None:
+            log.append((self._restore, current))
         return new_record
 
     def delete(self, rid: int) -> Record:
@@ -129,6 +148,9 @@ class RecordStore:
             ) from None
         self._generation += 1
         self.metrics.records_deleted += 1
+        log = self._undo.entries
+        if log is not None:
+            log.append((self._restore, record))
         return record
 
     def scan(self) -> Iterator[Record]:
@@ -139,17 +161,22 @@ class RecordStore:
         consumers (FIND ANY, constraint checks) either consume the scan
         immediately or abandon the generator before mutating.  A store
         that *is* structurally mutated while a scan is being resumed
-        fails loudly instead of serving a stale copy.
+        fails loudly instead of serving a stale copy -- also at the
+        end, since a rollback edits the dict in place and can leave the
+        paused iterator nothing more to visit.
         """
         self.metrics.index_scans += 1
         generation = self._generation
         for record in self._records.values():
             if self._generation != generation:
-                raise RuntimeError(
-                    f"{self.type_name}: store mutated during scan"
-                )
+                raise self._mutated_during_scan()
             self.metrics.records_read += 1
             yield record
+        if self._generation != generation:
+            raise self._mutated_during_scan()
+
+    def _mutated_during_scan(self) -> RuntimeError:
+        return RuntimeError(f"{self.type_name}: store mutated during scan")
 
     def all_records(self) -> list[Record]:
         """All live records in insertion order (uncounted bulk access).
@@ -161,6 +188,9 @@ class RecordStore:
 
     def clear(self) -> None:
         """Drop every record (rids are still not reused afterwards)."""
+        log = self._undo.entries
+        if log is not None and self._records:
+            log.append((self._records.update, dict(self._records)))
         self._records.clear()
         self._generation += 1
 
@@ -171,28 +201,41 @@ class RecordStore:
     # -- savepoints --------------------------------------------------------
 
     def savepoint(self) -> Savepoint:
-        """Capture the store's state.
-
-        Record objects are immutable, so a shallow copy of the rid map
-        shares every record with the live store -- O(len) pointer
-        copies, no value copying (copy-on-write in effect: updates
-        install *new* Record versions and never touch shared ones).
-        """
-        return Savepoint("record-store", id(self), payload=(
-            dict(self._records), self._next_rid,
-        ))
+        """Mark the store's undo log (a store inside a database shares
+        the database's log)."""
+        return self._undo.savepoint("record-store", self)
 
     def rollback(self, savepoint: Savepoint) -> None:
-        """Restore the exact state captured by :meth:`savepoint`.
+        """Undo every change since :meth:`savepoint` and end it, with
+        every savepoint taken after it."""
+        self._undo.rollback(savepoint, "record-store", self)
 
-        The generation is bumped (not restored) so a scan that was in
-        flight across the rollback fails loudly instead of resuming
-        over replaced state.
-        """
-        check_owner(savepoint, "record-store", self)
-        records, next_rid = savepoint.payload
-        self._records = dict(records)
-        self._next_rid = next_rid
+    def release(self, savepoint: Savepoint) -> None:
+        """End :meth:`savepoint` (and later ones), keeping the changes."""
+        self._undo.release(savepoint, "record-store", self)
+
+    def _truncate(self, first_rid: int) -> None:
+        """Undo the inserts from ``first_rid`` on (the newest rids)."""
+        for rid in range(first_rid, self._next_rid):
+            del self._records[rid]
+        self._next_rid = first_rid
+
+    def _restore(self, record: Record) -> None:
+        """Undo an update or a delete: put this version back."""
+        records = self._records
+        if (record.rid not in records and records
+                and record.rid < next(reversed(records))):
+            self._unsorted = True
+        records[record.rid] = record
+
+    def _settle(self) -> None:
+        """After a rollback: restore rid order and bump the generation,
+        so a scan in flight across the rollback fails loudly."""
+        if self._unsorted:
+            ordered = sorted(self._records.items())
+            self._records.clear()
+            self._records.update(ordered)
+            self._unsorted = False
         self._generation += 1
 
     def state_fingerprint_data(self) -> tuple:

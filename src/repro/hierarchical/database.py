@@ -6,7 +6,7 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 from repro.engine.metrics import Metrics
-from repro.engine.savepoint import Savepoint, check_owner, fingerprint
+from repro.engine.savepoint import Savepoint, UndoLog, fingerprint
 from repro.engine.storage import Record, RecordStore
 from repro.errors import (
     IntegrityError,
@@ -36,8 +36,11 @@ class HierarchicalDatabase:
             )
         self.schema = schema
         self.metrics = metrics if metrics is not None else Metrics()
+        # One undo log behind every store, parent link and twin bucket.
+        self._undo = UndoLog()
+        self._undo.on_rollback(self._forget_preorder)
         self._stores: dict[str, RecordStore] = {
-            name: RecordStore(name, self.metrics)
+            name: RecordStore(name, self.metrics, self._undo)
             for name in schema.records
         }
         # member -> its (single) parent set type, if any
@@ -102,14 +105,23 @@ class HierarchicalDatabase:
         )
         return orderable(values)
 
-    def _insert_ordered(self, siblings: list[int], segment_name: str,
-                        rid: int) -> None:
+    def _twin_position(self, siblings: list[int], segment_name: str,
+                       rid: int) -> int:
+        """Where ``rid`` goes among ``siblings``: after every twin whose
+        key is not greater."""
         key = self._twin_key(segment_name, rid)
         position = 0
         while (position < len(siblings)
                and self._twin_key(segment_name, siblings[position]) <= key):
             position += 1
-        siblings.insert(position, rid)
+        return position
+
+    @staticmethod
+    def _bucket_key(segment_name: str,
+                    parent: tuple[str, int] | None) -> tuple[str, int, str]:
+        """The ``_children`` key of a segment's twin bucket."""
+        bucket_parent = parent if parent is not None else ("", 0)
+        return (bucket_parent[0], bucket_parent[1], segment_name)
 
     # -- mutation ----------------------------------------------------------------
 
@@ -137,13 +149,20 @@ class HierarchicalDatabase:
                     f"parent {parent[0]} rid {parent[1]} does not exist"
                 )
         record = self._stores[segment_name].insert(checked)
+        bucket_key = self._bucket_key(segment_name, parent)
+        bucket = self._children.get(bucket_key)
+        created = bucket is None
+        position = self._twin_position(bucket or [], segment_name,
+                                       record.rid)
+        if created:
+            bucket = self._children[bucket_key] = []
         self._parent_of[(segment_name, record.rid)] = parent
-        bucket_parent = parent if parent is not None else ("", 0)
-        bucket = self._children.setdefault(
-            (bucket_parent[0], bucket_parent[1], segment_name), []
-        )
-        self._insert_ordered(bucket, segment_name, record.rid)
+        bucket.insert(position, record.rid)
         self._version += 1
+        log = self._undo.entries
+        if log is not None:
+            log.append((self._unlink, (segment_name, record.rid),
+                        bucket_key, created))
         return record
 
     def insert_segments(
@@ -185,11 +204,17 @@ class HierarchicalDatabase:
         records = self._stores[segment_name].insert_many(
             [checked for checked, _parent in checked_entries]
         )
+        log = self._undo.entries
+        # Bucket key -> its twins before the batch (None: new bucket),
+        # recorded only while a savepoint is open.
+        previous: dict[tuple[str, int, str], list[int] | None] = {}
         touched: set[tuple[str, int, str]] = set()
         for record, (_checked, parent) in zip(records, checked_entries):
+            key = self._bucket_key(segment_name, parent)
+            if log is not None and key not in previous:
+                bucket = self._children.get(key)
+                previous[key] = None if bucket is None else list(bucket)
             self._parent_of[(segment_name, record.rid)] = parent
-            bucket_parent = parent if parent is not None else ("", 0)
-            key = (bucket_parent[0], bucket_parent[1], segment_name)
             self._children.setdefault(key, []).append(record.rid)
             touched.add(key)
         for key in touched:
@@ -201,6 +226,10 @@ class HierarchicalDatabase:
             )
         if entries:
             self._version += 1
+        if log is not None and records:
+            log.append((self._unlink_many,
+                        [(segment_name, record.rid) for record in records],
+                        previous))
         return records
 
     def replace_segment(self, segment_name: str, rid: int,
@@ -210,13 +239,17 @@ class HierarchicalDatabase:
         checked = record_type.validate_values(updates)
         record = self._stores[segment_name].update(rid, checked)
         # Twin order may depend on updated fields; re-sort siblings.
-        parent = self._parent_of.get((segment_name, rid))
-        bucket_parent = parent if parent is not None else ("", 0)
-        bucket_key = (bucket_parent[0], bucket_parent[1], segment_name)
+        bucket_key = self._bucket_key(
+            segment_name, self._parent_of.get((segment_name, rid)))
         bucket = self._children.get(bucket_key, [])
         if rid in bucket:
-            bucket.remove(rid)
-            self._insert_ordered(bucket, segment_name, rid)
+            old_position = bucket.index(rid)
+            del bucket[old_position]
+            bucket.insert(self._twin_position(bucket, segment_name, rid),
+                          rid)
+            log = self._undo.entries
+            if log is not None:
+                log.append((self._unmove, bucket_key, rid, old_position))
         self._version += 1
         return record
 
@@ -229,15 +262,17 @@ class HierarchicalDatabase:
         for child_type in self.child_types(segment_name):
             for child_rid in list(self.children(segment_name, rid, child_type)):
                 deleted += self.delete_segment(child_type, child_rid)
-        parent = self._parent_of.pop((segment_name, rid), None)
-        bucket_parent = parent if parent is not None else ("", 0)
-        bucket = self._children.get(
-            (bucket_parent[0], bucket_parent[1], segment_name), []
-        )
-        if rid in bucket:
-            bucket.remove(rid)
         self._stores[segment_name].delete(rid)
+        key = (segment_name, rid)
+        parent = self._parent_of.pop(key)
+        bucket_key = self._bucket_key(segment_name, parent)
+        bucket = self._children[bucket_key]
+        position = bucket.index(rid)
+        del bucket[position]
         self._version += 1
+        log = self._undo.entries
+        if log is not None:
+            log.append((self._relink, key, parent, bucket_key, position))
         return deleted + 1
 
     # -- navigation --------------------------------------------------------------
@@ -335,26 +370,56 @@ class HierarchicalDatabase:
     # -- savepoints --------------------------------------------------------
 
     def savepoint(self) -> Savepoint:
-        """Capture stores, parent links, and sibling buckets (the
-        preorder cache is derived state and simply invalidates)."""
-        parts = {
-            f"store:{name}": store.savepoint()
-            for name, store in self._stores.items()
-        }
-        return Savepoint("hierarchical-db", id(self), payload=(
-            dict(self._parent_of),
-            {key: list(rids) for key, rids in self._children.items()},
-        ), parts=parts)
+        """Mark the undo log behind stores, parent links and twin
+        buckets (the preorder cache is derived state and is dropped on
+        rollback)."""
+        return self._undo.savepoint("hierarchical-db", self)
 
     def rollback(self, savepoint: Savepoint) -> None:
-        check_owner(savepoint, "hierarchical-db", self)
-        for name, store in self._stores.items():
-            store.rollback(savepoint.part(f"store:{name}"))
-        parent_of, children = savepoint.payload
-        self._parent_of = dict(parent_of)
-        self._children = {
-            key: list(rids) for key, rids in children.items()
-        }
+        """Restore the exact state at :meth:`savepoint` and end it,
+        with every savepoint taken after it."""
+        self._undo.rollback(savepoint, "hierarchical-db", self)
+
+    def release(self, savepoint: Savepoint) -> None:
+        """End :meth:`savepoint` (and later ones), keeping the changes."""
+        self._undo.release(savepoint, "hierarchical-db", self)
+
+    def _unlink(self, key: tuple[str, int], bucket_key: tuple[str, int, str],
+                created: bool) -> None:
+        """Undo :meth:`insert_segment`'s links."""
+        del self._parent_of[key]
+        if created:
+            del self._children[bucket_key]
+        else:
+            self._children[bucket_key].remove(key[1])
+
+    def _unlink_many(self, keys: list[tuple[str, int]],
+                     previous: dict[tuple[str, int, str], list[int] | None]
+                     ) -> None:
+        """Undo :meth:`insert_segments`' links."""
+        for key in keys:
+            del self._parent_of[key]
+        for bucket_key, twins in previous.items():
+            if twins is None:
+                del self._children[bucket_key]
+            else:
+                self._children[bucket_key][:] = twins
+
+    def _unmove(self, bucket_key: tuple[str, int, str], rid: int,
+                old_position: int) -> None:
+        """Undo :meth:`replace_segment`'s re-sort among twins."""
+        bucket = self._children[bucket_key]
+        bucket.remove(rid)
+        bucket.insert(old_position, rid)
+
+    def _relink(self, key: tuple[str, int], parent: tuple[str, int] | None,
+                bucket_key: tuple[str, int, str], position: int) -> None:
+        """Undo :meth:`delete_segment`'s unlinking."""
+        self._parent_of[key] = parent
+        self._children[bucket_key].insert(position, key[1])
+
+    def _forget_preorder(self) -> None:
+        """After a rollback: the cached hierarchical sequence is stale."""
         self._version += 1
         self._preorder_cache = None
 

@@ -9,7 +9,7 @@ from typing import Any, Iterator
 
 from repro.engine.index import HashIndex
 from repro.engine.metrics import Metrics
-from repro.engine.savepoint import Savepoint, check_owner, fingerprint
+from repro.engine.savepoint import Savepoint, UndoLog, fingerprint
 from repro.engine.storage import Record, RecordStore
 from repro.errors import (
     IntegrityError,
@@ -33,19 +33,22 @@ class NetworkDatabase:
         schema.validate()
         self.schema = schema
         self.metrics = metrics if metrics is not None else Metrics()
+        # One undo log behind every store, set and CALC index.
+        self._undo = UndoLog()
         self._stores: dict[str, RecordStore] = {
-            name: RecordStore(name, self.metrics)
+            name: RecordStore(name, self.metrics, self._undo)
             for name in schema.records
         }
         self._sets: dict[str, SetStore] = {
-            name: SetStore(set_type, self)
+            name: SetStore(set_type, self, self._undo)
             for name, set_type in schema.sets.items()
         }
         self._calc: dict[str, HashIndex] = {}
         for name, record in schema.records.items():
             if record.calc_keys:
                 self._calc[name] = HashIndex(
-                    f"{name}.calc", unique=False, metrics=self.metrics
+                    f"{name}.calc", unique=False, metrics=self.metrics,
+                    undo=self._undo,
                 )
 
     # -- low-level access -------------------------------------------------
@@ -302,27 +305,20 @@ class NetworkDatabase:
     # -- savepoints --------------------------------------------------------
 
     def savepoint(self) -> Savepoint:
-        """Capture the whole instance: every store, every set
-        occurrence, every CALC index.  Metrics are deliberately NOT
-        captured -- a rolled-back probe still did the work it did."""
-        parts: dict[str, Savepoint] = {}
-        for name, store in self._stores.items():
-            parts[f"store:{name}"] = store.savepoint()
-        for name, set_store in self._sets.items():
-            parts[f"set:{name}"] = set_store.savepoint()
-        calc = {name: index.snapshot_entries()
-                for name, index in self._calc.items()}
-        return Savepoint("network-db", id(self), payload=calc, parts=parts)
+        """Mark the instance's undo log: from now on every store, set
+        occurrence and CALC index change is logged.  Metrics are
+        deliberately NOT restored -- a rolled-back probe still did the
+        work it did."""
+        return self._undo.savepoint("network-db", self)
 
     def rollback(self, savepoint: Savepoint) -> None:
-        """Restore the exact state captured by :meth:`savepoint`."""
-        check_owner(savepoint, "network-db", self)
-        for name, store in self._stores.items():
-            store.rollback(savepoint.part(f"store:{name}"))
-        for name, set_store in self._sets.items():
-            set_store.rollback(savepoint.part(f"set:{name}"))
-        for name, index in self._calc.items():
-            index.restore_entries(savepoint.payload[name])
+        """Restore the exact state at :meth:`savepoint` and end it,
+        with every savepoint taken after it."""
+        self._undo.rollback(savepoint, "network-db", self)
+
+    def release(self, savepoint: Savepoint) -> None:
+        """End :meth:`savepoint` (and later ones), keeping the changes."""
+        self._undo.release(savepoint, "network-db", self)
 
     def state_fingerprint(self) -> str:
         """Content digest over records, set occurrences, and rid

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.engine.ordering import orderable
-from repro.engine.savepoint import Savepoint, check_owner
+from repro.engine.savepoint import UndoLog, key_position, reinsert
 from repro.errors import IntegrityError, UniquenessViolation
 from repro.schema.model import SetType
 
@@ -26,13 +26,18 @@ SYSTEM_OWNER_RID = 0
 class SetStore:
     """Occurrences of one set type."""
 
-    def __init__(self, set_type: SetType, db: "NetworkDatabase"):
+    def __init__(self, set_type: SetType, db: "NetworkDatabase",
+                 undo: UndoLog):
         self.set_type = set_type
         self._db = db
         self._owner_of: dict[int, int] = {}          # member rid -> owner rid
-        self._members: dict[int, list[int]] = {}     # owner rid -> member rids
+        # owner rid -> member rids; key order (occurrence creation) is
+        # what owners() returns, and no occurrence is ever empty.
+        self._members: dict[int, list[int]] = {}
         self._seq: dict[int, int] = {}               # member rid -> arrival seq
         self._next_seq = 0
+        #: The database's undo log (see :mod:`repro.engine.savepoint`).
+        self._undo = undo
 
     # -- internals ------------------------------------------------------
 
@@ -61,8 +66,9 @@ class SetStore:
                 f"set {self.set_type.name}: member rid {member_rid} "
                 "is already connected"
             )
-        occurrence = self._members.setdefault(owner_rid, [])
-        if self.set_type.order_keys and not self.set_type.allow_duplicates:
+        occurrence = self._members.get(owner_rid)
+        if (occurrence and self.set_type.order_keys
+                and not self.set_type.allow_duplicates):
             new_key = self._key_values(member_rid)
             for existing in occurrence:
                 if self._key_values(existing) == new_key:
@@ -71,6 +77,8 @@ class SetStore:
                         f"{new_key!r} within occurrence of owner "
                         f"{owner_rid}"
                     )
+        if occurrence is None:
+            occurrence = self._members[owner_rid] = []
         self._next_seq += 1
         self._seq[member_rid] = self._next_seq
         self._owner_of[member_rid] = owner_rid
@@ -83,6 +91,9 @@ class SetStore:
             occurrence.insert(position, member_rid)
         else:
             occurrence.append(member_rid)
+        log = self._undo.entries
+        if log is not None:
+            log.append((self._unconnect, member_rid))
 
     def connect_many(self, owner_rid: int, member_rids: list[int]) -> None:
         """Bulk :meth:`connect` into one owner's occurrence.
@@ -90,19 +101,23 @@ class SetStore:
         Equivalent to connecting each member in order (same final set
         order: order-key values, then arrival sequence) but the
         occurrence is sorted once and the duplicate-key check uses a
-        hash set instead of a per-member scan.
+        hash set instead of a per-member scan.  Every check runs before
+        the first change, so a refused call changes nothing.
         """
         if not member_rids:
             return
+        arriving: set[int] = set()
         for member_rid in member_rids:
-            if member_rid in self._owner_of:
+            if member_rid in self._owner_of or member_rid in arriving:
                 raise IntegrityError(
                     f"set {self.set_type.name}: member rid {member_rid} "
                     "is already connected"
                 )
-        occurrence = self._members.setdefault(owner_rid, [])
+            arriving.add(member_rid)
+        occurrence = self._members.get(owner_rid)
         if self.set_type.order_keys and not self.set_type.allow_duplicates:
-            seen = {self._key_values(existing) for existing in occurrence}
+            seen = {self._key_values(existing)
+                    for existing in occurrence or ()}
             for member_rid in member_rids:
                 new_key = self._key_values(member_rid)
                 if new_key in seen:
@@ -112,6 +127,12 @@ class SetStore:
                         f"{owner_rid}"
                     )
                 seen.add(new_key)
+        log = self._undo.entries
+        previous = None
+        if occurrence is None:
+            occurrence = self._members[owner_rid] = []
+        elif log is not None:
+            previous = list(occurrence)
         for member_rid in member_rids:
             self._next_seq += 1
             self._seq[member_rid] = self._next_seq
@@ -121,18 +142,29 @@ class SetStore:
             # _order_key ends in the arrival sequence, so one sort
             # reproduces the incremental insert-after-equals order.
             occurrence.sort(key=self._order_key)
+        if log is not None:
+            log.append((self._unconnect_many, owner_rid, tuple(member_rids),
+                        previous))
 
     def disconnect(self, member_rid: int) -> int | None:
         """Remove a member from its occurrence; return its old owner."""
         owner_rid = self._owner_of.pop(member_rid, None)
         if owner_rid is None:
             return None
-        occurrence = self._members.get(owner_rid, [])
-        if member_rid in occurrence:
-            occurrence.remove(member_rid)
-            if not occurrence:
-                del self._members[owner_rid]
-        self._seq.pop(member_rid, None)
+        seq = self._seq.pop(member_rid)
+        occurrence = self._members[owner_rid]
+        position = occurrence.index(member_rid)
+        log = self._undo.entries
+        emptied = None
+        if len(occurrence) == 1:
+            if log is not None:
+                emptied = key_position(self._members, owner_rid)
+            del self._members[owner_rid]
+        else:
+            del occurrence[position]
+        if log is not None:
+            log.append((self._undisconnect, owner_rid, member_rid, seq,
+                        position, emptied))
         return owner_rid
 
     def reposition(self, member_rid: int) -> None:
@@ -143,13 +175,56 @@ class SetStore:
         if owner_rid is None:
             return
         occurrence = self._members[owner_rid]
-        occurrence.remove(member_rid)
+        old_position = occurrence.index(member_rid)
+        del occurrence[old_position]
         key = self._order_key(member_rid)
         position = 0
         while (position < len(occurrence)
                and self._order_key(occurrence[position]) <= key):
             position += 1
         occurrence.insert(position, member_rid)
+        log = self._undo.entries
+        if log is not None:
+            log.append((self._unreposition, owner_rid, member_rid,
+                        old_position))
+
+    # -- undo (entries of the database's log) ----------------------------
+
+    def _unconnect(self, member_rid: int) -> None:
+        owner_rid = self._owner_of.pop(member_rid)
+        occurrence = self._members[owner_rid]
+        occurrence.remove(member_rid)
+        if not occurrence:
+            # The connect created this occurrence, as the newest key.
+            del self._members[owner_rid]
+        del self._seq[member_rid]
+        self._next_seq -= 1
+
+    def _unconnect_many(self, owner_rid: int, member_rids: tuple[int, ...],
+                        previous: list[int] | None) -> None:
+        for member_rid in member_rids:
+            del self._owner_of[member_rid]
+            del self._seq[member_rid]
+        self._next_seq -= len(member_rids)
+        if previous is None:
+            del self._members[owner_rid]
+        else:
+            self._members[owner_rid][:] = previous
+
+    def _undisconnect(self, owner_rid: int, member_rid: int, seq: int,
+                      position: int, emptied: int | None) -> None:
+        if emptied is not None:
+            reinsert(self._members, emptied, owner_rid, [member_rid])
+        else:
+            self._members[owner_rid].insert(position, member_rid)
+        self._owner_of[member_rid] = owner_rid
+        self._seq[member_rid] = seq
+
+    def _unreposition(self, owner_rid: int, member_rid: int,
+                      old_position: int) -> None:
+        occurrence = self._members[owner_rid]
+        occurrence.remove(member_rid)
+        occurrence.insert(old_position, member_rid)
 
     # -- queries ---------------------------------------------------------
 
@@ -195,29 +270,6 @@ class SetStore:
     def owners(self) -> list[int]:
         """Owner rids that currently have a non-empty occurrence."""
         return list(self._members)
-
-    # -- savepoints -------------------------------------------------------
-
-    def savepoint(self) -> Savepoint:
-        """Capture occurrence membership and order (lists copied)."""
-        return Savepoint("set-store", id(self), payload=(
-            dict(self._owner_of),
-            {owner: list(members)
-             for owner, members in self._members.items()},
-            dict(self._seq),
-            self._next_seq,
-        ))
-
-    def rollback(self, savepoint: Savepoint) -> None:
-        check_owner(savepoint, "set-store", self)
-        owner_of, members, seq, next_seq = savepoint.payload
-        self._owner_of = dict(owner_of)
-        self._members = {
-            owner: list(member_rids)
-            for owner, member_rids in members.items()
-        }
-        self._seq = dict(seq)
-        self._next_seq = next_seq
 
     def state_fingerprint_data(self) -> tuple:
         return (

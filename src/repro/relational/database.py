@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 from repro.engine.metrics import Metrics
-from repro.engine.savepoint import Savepoint, check_owner, fingerprint
+from repro.engine.savepoint import Savepoint, UndoLog, fingerprint
 from repro.engine.storage import Record
 from repro.errors import IntegrityError, QueryError, UniquenessViolation
 from repro.relational.relation import Relation
@@ -112,9 +112,12 @@ class RelationalDatabase:
         self.schema = schema
         self.metrics = metrics if metrics is not None else Metrics()
         self.use_indexes = use_indexes
+        # One undo log behind every base relation and its indexes.
+        self._undo = UndoLog()
         self.relations: dict[str, Relation] = {
             name: Relation(name, relation_columns(schema, name),
-                           metrics=self.metrics, use_indexes=use_indexes)
+                           metrics=self.metrics, use_indexes=use_indexes,
+                           undo=self._undo)
             for name in schema.records
         }
         if use_indexes:
@@ -292,18 +295,18 @@ class RelationalDatabase:
     # -- savepoints --------------------------------------------------------
 
     def savepoint(self) -> Savepoint:
-        """Capture every base relation (metrics excluded, as for the
-        other engines)."""
-        parts = {
-            f"relation:{name}": relation.savepoint()
-            for name, relation in self.relations.items()
-        }
-        return Savepoint("relational-db", id(self), parts=parts)
+        """Mark the undo log of every base relation (metrics are not
+        restored, as for the other engines)."""
+        return self._undo.savepoint("relational-db", self)
 
     def rollback(self, savepoint: Savepoint) -> None:
-        check_owner(savepoint, "relational-db", self)
-        for name, relation in self.relations.items():
-            relation.rollback(savepoint.part(f"relation:{name}"))
+        """Restore the exact state at :meth:`savepoint` and end it,
+        with every savepoint taken after it."""
+        self._undo.rollback(savepoint, "relational-db", self)
+
+    def release(self, savepoint: Savepoint) -> None:
+        """End :meth:`savepoint` (and later ones), keeping the changes."""
+        self._undo.release(savepoint, "relational-db", self)
 
     def state_fingerprint(self) -> str:
         return fingerprint((

@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.engine.index import HashIndex
 from repro.engine.metrics import Metrics
-from repro.engine.savepoint import Savepoint, check_owner
+from repro.engine.savepoint import UndoLog
 from repro.errors import QueryError
 
 
@@ -30,11 +30,17 @@ class Relation:
     def __init__(self, name: str, columns: Iterable[str],
                  rows: Iterable[dict[str, Any]] = (),
                  metrics: Metrics | None = None,
-                 use_indexes: bool = True):
+                 use_indexes: bool = True,
+                 undo: UndoLog | None = None):
         self.name = name
         self.columns = list(columns)
         self.metrics = metrics if metrics is not None else Metrics()
         self.use_indexes = use_indexes
+        #: The database's undo log; a relation outside a database (an
+        #: algebra result) gets one that no savepoint ever opens.
+        self._undo = undo if undo is not None else UndoLog()
+        if undo is not None:
+            undo.on_rollback(self._forget_positions)
         self._rows: list[dict[str, Any]] = []
         #: Stable internal row ids, parallel to ``_rows`` (indexes
         #: reference rows by these so deletions cannot dangle).
@@ -73,7 +79,7 @@ class Relation:
         if existing is not None:
             return existing
         index = HashIndex(f"{self.name}({','.join(key_columns)})",
-                          metrics=self.metrics)
+                          metrics=self.metrics, undo=self._undo)
         for rid, row in zip(self._rids, self._rows):
             index.insert(tuple(row[c] for c in key_columns), rid)
         self._indexes[key_columns] = index
@@ -164,6 +170,9 @@ class Relation:
         self._row_by_rid[rid] = complete
         if self._pos_by_rid is not None:
             self._pos_by_rid[rid] = len(self._rows) - 1
+        log = self._undo.entries
+        if log is not None:
+            log.append((self._unappend, 1))
         self._index_insert(rid, complete)
         self.metrics.records_written += 1
         return complete
@@ -181,16 +190,20 @@ class Relation:
                     f"{sorted(unknown)}"
                 )
             completed.append({col: row.get(col) for col in self.columns})
-        rid = self._next_rid
+        first = rid = self._next_rid
         for complete in completed:
             self._rows.append(complete)
             self._rids.append(rid)
             self._row_by_rid[rid] = complete
             if self._pos_by_rid is not None:
                 self._pos_by_rid[rid] = len(self._rows) - 1
-            self._index_insert(rid, complete)
             rid += 1
         self._next_rid = rid
+        log = self._undo.entries
+        if log is not None and completed:
+            log.append((self._unappend, len(completed)))
+        for rid, complete in enumerate(completed, start=first):
+            self._index_insert(rid, complete)
         self.metrics.records_written += len(completed)
         return completed
 
@@ -209,18 +222,23 @@ class Relation:
         doomed = self._candidate_rids(predicate, equal)
         if not doomed:
             return 0
-        for rid in doomed:
-            row = self._row_by_rid.pop(rid)
-            self._index_remove(rid, row)
-            self.metrics.records_deleted += 1
         kept_rows, kept_rids = [], []
         for rid, row in zip(self._rids, self._rows):
             if rid not in doomed:
                 kept_rows.append(row)
                 kept_rids.append(rid)
+        removed = {rid: self._row_by_rid.pop(rid) for rid in doomed}
+        log = self._undo.entries
+        if log is not None:
+            # The old lists are replaced, never mutated, so they are
+            # the undo's copy of the row order.
+            log.append((self._unremove, self._rows, self._rids, removed))
         self._rows = kept_rows
         self._rids = kept_rids
         self._pos_by_rid = None
+        for rid, row in removed.items():
+            self._index_remove(rid, row)
+            self.metrics.records_deleted += 1
         return len(doomed)
 
     def update_where(self, predicate: Callable[[dict[str, Any]], bool],
@@ -237,11 +255,15 @@ class Relation:
             if any(column in updates for column in key_columns)
         ]
         changed = self._candidate_rids(predicate, equal)
+        log = self._undo.entries
         for rid in changed:
             row = self._row_by_rid[rid]
             for key_columns in touched:
                 self._indexes[key_columns].remove(
                     tuple(row[c] for c in key_columns), rid)
+            if log is not None:
+                log.append((self._unupdate, rid,
+                            {column: row[column] for column in updates}))
             row.update(updates)
             for key_columns in touched:
                 self._indexes[key_columns].insert(
@@ -282,34 +304,29 @@ class Relation:
             )
         return [row[column] for row in self._rows]
 
-    # -- savepoints --------------------------------------------------------
+    # -- undo (entries of the database's log) --------------------------
 
-    def savepoint(self) -> Savepoint:
-        """Capture rows and rids.
+    def _unappend(self, count: int) -> None:
+        """Undo the newest ``count`` appended rows."""
+        keep = len(self._rows) - count
+        for rid in self._rids[keep:]:
+            del self._row_by_rid[rid]
+        del self._rows[keep:]
+        del self._rids[keep:]
+        self._next_rid -= count
 
-        Rows are mutable dicts (``update_where`` writes in place), so
-        each row is copied -- O(rows).  Secondary indexes are NOT
-        captured; rollback rebuilds them from the restored rows, which
-        costs the same one pass and cannot go stale.
-        """
-        return Savepoint("relation", id(self), payload=(
-            [dict(row) for row in self._rows],
-            list(self._rids),
-            self._next_rid,
-        ))
+    def _unremove(self, rows: list[dict[str, Any]], rids: list[int],
+                  removed: dict[int, dict[str, Any]]) -> None:
+        self._rows = rows
+        self._rids = rids
+        self._row_by_rid.update(removed)
 
-    def rollback(self, savepoint: Savepoint) -> None:
-        check_owner(savepoint, "relation", self)
-        rows, rids, next_rid = savepoint.payload
-        self._rows = [dict(row) for row in rows]
-        self._rids = list(rids)
-        self._row_by_rid = dict(zip(self._rids, self._rows))
-        self._next_rid = next_rid
+    def _unupdate(self, rid: int, old_values: dict[str, Any]) -> None:
+        self._row_by_rid[rid].update(old_values)
+
+    def _forget_positions(self) -> None:
+        """After a rollback: row positions may have moved back."""
         self._pos_by_rid = None
-        for key_columns, index in self._indexes.items():
-            index.restore_entries({})
-            for rid, row in zip(self._rids, self._rows):
-                index.insert(tuple(row[c] for c in key_columns), rid)
 
     def state_fingerprint_data(self) -> tuple:
         return (

@@ -121,7 +121,8 @@ class FallbackCascade:
             return RewriteStrategy(self.target_db, self.source_db.schema,
                                    self.operator, analyst=self.analyst,
                                    cost_model=self.target_cost_model,
-                                   rule_catalog=self.rule_catalog)
+                                   rule_catalog=self.rule_catalog,
+                                   catalog=self.catalog)
         if name == "emulation":
             return EmulationStrategy(self.target_db, self.catalog)
         if name == "bridge":

@@ -12,6 +12,7 @@ per-call overhead.
 
 from __future__ import annotations
 
+from repro.core.analyzer_db import ChangeCatalog
 from repro.core.optimizer import CostModel
 from repro.core.supervisor import Analyst, ConversionSupervisor
 from repro.core.report import ConversionReport
@@ -33,12 +34,14 @@ class RewriteStrategy(ConversionStrategy):
                  operator: RestructuringOperator,
                  analyst: Analyst | None = None,
                  cost_model: CostModel | None = None,
-                 rule_catalog=None):
+                 rule_catalog=None,
+                 catalog: ChangeCatalog | None = None):
         self.target_db = target_db
         self.supervisor = ConversionSupervisor(source_schema, operator,
                                                analyst=analyst,
                                                cost_model=cost_model,
-                                               rule_catalog=rule_catalog)
+                                               rule_catalog=rule_catalog,
+                                               catalog=catalog)
         self._converted: dict[str, ConversionReport] = {}
 
     def conversion_report(self, program: Program) -> ConversionReport:

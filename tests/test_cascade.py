@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.batch import run_batch
+from repro.core.analyzer_db import ConversionAnalyzer
 from repro.core.report import (
     STATUS_FAILED,
     STATUS_FELL_BACK,
@@ -199,6 +201,24 @@ class TestConfiguration:
         built.clear()
         cascade.convert(free_navigation_program())
         assert built == ["rewrite", "emulation"]
+
+    def test_change_catalog_derived_once_per_cascade(self, cascade_setup,
+                                                     monkeypatch):
+        """Every rewrite attempt's supervisor reuses the cascade's
+        ChangeCatalog instead of analyzing the operator again."""
+        _source, _target, cascade = cascade_setup
+        calls = []
+        analyze = ConversionAnalyzer.analyze_operator
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return analyze(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConversionAnalyzer, "analyze_operator", counting)
+        batch = run_batch(cascade, [report_program("P1"), hire_program(),
+                                    free_navigation_program()])
+        assert len(batch.reports) == 3
+        assert calls == []
 
 
 class TestConvertSystem:

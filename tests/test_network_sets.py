@@ -57,6 +57,28 @@ class TestSetStore:
         with pytest.raises(UniquenessViolation):
             store.connect(parent.rid, _c(db, 1).rid)
 
+    def test_refused_connect_many_leaves_no_empty_occurrence(self, db):
+        """The duplicate-key check runs before the occurrence exists, so
+        a refused bulk connect changes nothing."""
+        _p(db, "A")
+        parent = _p(db, "B")
+        children = [_c(db, 5).rid, _c(db, 5).rid]
+        store = db.set_store("SORTED")
+        before = db.state_fingerprint()
+        with pytest.raises(UniquenessViolation):
+            store.connect_many(parent.rid, children)
+        assert store.owners() == []
+        assert store.members(parent.rid) == []
+        assert db.state_fingerprint() == before
+
+    def test_connect_many_refuses_a_repeated_member(self, db):
+        parent = _p(db, "A")
+        child = _c(db, 1)
+        store = db.set_store("CHAINED")
+        with pytest.raises(IntegrityError, match="already connected"):
+            store.connect_many(parent.rid, [child.rid, child.rid])
+        assert store.owners() == []
+
     def test_duplicate_keys_ok_in_other_occurrence(self, db):
         store = db.set_store("SORTED")
         store.connect(_p(db, "A").rid, _c(db, 1).rid)

@@ -8,12 +8,19 @@ over the pickled canonical state).
 
 import pytest
 
-from repro.engine import RecordStore, Savepoint, fingerprint
+from repro.batch import MAX_PROGRAM_RETRIES, convert_one
+from repro.engine import RecordStore, fingerprint
 from repro.engine.savepoint import check_owner
 from repro.errors import SavepointMismatch
+from repro.faultinject import WorkerKilled
 from repro.hierarchical import DLISession, SSA
 from repro.network import DMLSession
+from repro.options import ConversionOptions
+from repro.restructure import restructure_database
+from repro.strategies import FallbackCascade
 from repro.workloads import company
+
+from .test_cascade import hire_program
 
 
 class TestRecordStore:
@@ -55,16 +62,56 @@ class TestRecordStore:
         with pytest.raises(SavepointMismatch):
             other.rollback(savepoint)
 
-    def test_missing_part_raises(self):
-        savepoint = Savepoint("record-store", 1)
-        with pytest.raises(SavepointMismatch, match="no part"):
-            savepoint.part("store:EMP")
-
     def test_check_owner_kind_mismatch(self):
         store = RecordStore("EMP")
         savepoint = store.savepoint()
         with pytest.raises(SavepointMismatch):
             check_owner(savepoint, "relation", store)
+
+    def test_rollback_restores_rid_order(self):
+        store = RecordStore("EMP")
+        for name in ("A", "B", "C"):
+            store.insert({"NAME": name})
+        savepoint = store.savepoint()
+        store.delete(2)
+        store.delete(1)
+        store.rollback(savepoint)
+        assert [record.rid for record in store.all_records()] == [1, 2, 3]
+
+    def test_rollback_ends_the_savepoint_and_later_ones(self):
+        store = RecordStore("EMP")
+        outer = store.savepoint()
+        inner = store.savepoint()
+        store.insert({"NAME": "A"})
+        store.rollback(outer)
+        assert len(store) == 0
+        for token in (outer, inner):
+            with pytest.raises(SavepointMismatch, match="has ended"):
+                store.rollback(token)
+            with pytest.raises(SavepointMismatch, match="has ended"):
+                store.release(token)
+
+    def test_release_keeps_changes_and_outer_savepoint(self):
+        store = RecordStore("EMP")
+        outer = store.savepoint()
+        inner = store.savepoint()
+        store.insert({"NAME": "A"})
+        store.release(inner)
+        assert len(store) == 1
+        with pytest.raises(SavepointMismatch):
+            store.rollback(inner)
+        store.rollback(outer)
+        assert len(store) == 0
+
+    def test_nothing_is_logged_without_an_open_savepoint(self):
+        store = RecordStore("EMP")
+        store.insert({"NAME": "A"})
+        assert store._undo.entries is None
+        savepoint = store.savepoint()
+        store.insert({"NAME": "B"})
+        assert len(store._undo.entries) == 1
+        store.release(savepoint)
+        assert store._undo.entries is None
 
 
 class TestNetworkDatabase:
@@ -111,11 +158,65 @@ class TestNetworkDatabase:
         assert company_db.metrics.records_read == reads
 
 
+    def test_savepoint_copies_nothing(self, company_db):
+        savepoint = company_db.savepoint()
+        assert company_db._undo.entries == []
+        company_db.rollback(savepoint)
+        assert company_db._undo.entries is None
+
+
+class TestConvertOne:
+    """The batch's per-program savepoints end on every path, so the
+    databases stop logging between programs."""
+
+    @pytest.fixture
+    def cascade(self, company_db, interpose_operator):
+        _schema, target_db = restructure_database(company_db,
+                                                  interpose_operator)
+        return FallbackCascade(company_db, target_db, interpose_operator)
+
+    @staticmethod
+    def logging(cascade):
+        return [db._undo.entries is not None
+                for db in (cascade.source_db, cascade.target_db)]
+
+    def test_released_after_a_conversion(self, cascade):
+        before = cascade.target_db.state_fingerprint()
+        convert_one(cascade, hire_program(), ConversionOptions())
+        assert self.logging(cascade) == [False, False]
+        assert cascade.target_db.state_fingerprint() == before
+
+    def test_released_when_a_base_exception_escapes(self, cascade,
+                                                    monkeypatch):
+        def interrupted(program, options=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cascade, "convert", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            convert_one(cascade, hire_program(), ConversionOptions())
+        assert self.logging(cascade) == [False, False]
+
+    def test_fresh_savepoints_for_each_killed_attempt(self, cascade,
+                                                      monkeypatch):
+        before = cascade.source_db.state_fingerprint()
+        attempts = []
+
+        def killed(program, options=None):
+            attempts.append(program.name)
+            cascade.source_db.insert_record("DIV", {"DIV-NAME": "GHOST"})
+            raise WorkerKilled("killed")
+
+        monkeypatch.setattr(cascade, "convert", killed)
+        report = convert_one(cascade, hire_program(), ConversionOptions())
+        assert report.status == "quarantined"
+        assert len(attempts) == MAX_PROGRAM_RETRIES
+        assert cascade.source_db.state_fingerprint() == before
+        assert self.logging(cascade) == [False, False]
+
+
 class TestHierarchicalDatabase:
     @pytest.fixture
     def hier_db(self, company_db, interpose_operator):
-        from repro.restructure import restructure_database
-
         _schema, db = restructure_database(
             company_db, interpose_operator, target_model="hierarchical")
         return db
@@ -162,8 +263,6 @@ class TestHierarchicalDatabase:
 class TestRelationalDatabase:
     @pytest.fixture
     def rel_db(self, company_db, interpose_operator):
-        from repro.restructure import restructure_database
-
         _schema, db = restructure_database(
             company_db, interpose_operator, target_model="relational")
         return db
