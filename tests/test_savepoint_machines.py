@@ -375,11 +375,8 @@ class RelationalMachine(SavepointMachine):
                 if all(row[column] == value
                        for column, value in wanted.items())
             ]
+            assert rows == [row for _position, row in positions]
             assert sorted(positions, key=lambda hit: hit[0]) == scanned
-            assert sorted(rows, key=lambda row: tuple(
-                map(repr, row.values()))) == sorted(
-                (row for _position, row in scanned),
-                key=lambda row: tuple(map(repr, row.values())))
 
 
 RelationalMachine.TestCase.settings = MACHINE_SETTINGS
