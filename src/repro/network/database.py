@@ -141,28 +141,28 @@ class NetworkDatabase:
         recursively -- the Section 3.1 hazard ("deletion of course
         offerings when instructors are deleted ... violates the
         system's integrity constraints"); any damage is caught at the
-        run-unit boundary, not here.
+        run-unit boundary, not here.  A refused erase changes nothing:
+        every MANDATORY occurrence is checked before the first
+        disconnect.
         """
-        for set_store in self._sets.values():
-            set_type = set_store.set_type
-            if set_type.owner != record_name:
-                continue
-            members = set_store.members(rid)
-            if not members:
-                continue
-            if all_members:
-                for member_rid in list(members):
-                    set_store.disconnect(member_rid)
-                    self.delete_record(set_type.member, member_rid,
+        owned = [set_store for set_store in self._sets.values()
+                 if set_store.set_type.owner == record_name]
+        if not all_members:
+            for set_store in owned:
+                set_type = set_store.set_type
+                members = set_store.members(rid)
+                if members and set_type.retention is Retention.MANDATORY:
+                    raise MandatoryViolation(
+                        f"cannot erase {record_name} rid {rid}: occurrence "
+                        f"of {set_type.name} has {len(members)} MANDATORY "
+                        f"members"
+                    )
+        for set_store in owned:
+            for member_rid in list(set_store.members(rid)):
+                set_store.disconnect(member_rid)
+                if all_members:
+                    self.delete_record(set_store.set_type.member, member_rid,
                                        all_members=True)
-            elif set_type.retention is Retention.MANDATORY:
-                raise MandatoryViolation(
-                    f"cannot erase {record_name} rid {rid}: occurrence of "
-                    f"{set_type.name} has {len(members)} MANDATORY members"
-                )
-            else:
-                for member_rid in list(members):
-                    set_store.disconnect(member_rid)
         # Leave every set this record belongs to as a member.
         for set_store in self._sets.values():
             if set_store.set_type.member == record_name:

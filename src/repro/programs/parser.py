@@ -5,17 +5,22 @@ parser closes the loop: :func:`repro.programs.ast.render_program`
 produces a text form, and :func:`parse_program` reads it (or
 hand-written text in the same style) back into the AST.  Round-tripping
 is exact -- ``parse_program(render_program(p))`` reproduces ``p`` -- and
-is enforced by property tests over the generated corpus.
+is enforced by property tests over generated programs and corpora.
 
 The grammar is line-oriented: one statement per line, leaf statements
 terminated by a period, compound statements bracketed by
 ``IF/ELSE/END-IF``, ``PERFORM WHILE/END-PERFORM`` and
 ``FOR EACH/END-FOR``, procedures introduced by ``PROCEDURE NAME(...)``.
+A line is dispatched on its first word: the three compound openers are
+tested first, and every leaf statement is one lookup in
+:data:`_LEAVES`.  A literal or a bare variable, the commonest operand,
+is parsed without the expression tokenizer.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 from repro.errors import ReproError
 from repro.programs import ast
@@ -35,7 +40,10 @@ class ProgramSyntaxError(ReproError):
 # ---------------------------------------------------------------------------
 
 _EXPR_TOKEN = re.compile(r"'[^']*'|\(|\)|[^\s()]+")
+#: Text that tokenizes to itself: no whitespace, parenthesis or quote.
+_BARE_TOKEN = re.compile(r"[^\s()']+")
 _OPS = ("AND", "OR", "=", "<>", "<=", ">=", "<", ">", "+", "-", "*")
+_NAMED_CONSTANTS = {"True": True, "False": False, "None": None}
 
 
 def _tokenize_expr(text: str) -> list[str]:
@@ -58,8 +66,7 @@ class _ExprParser:
         expr = self._expr()
         if self._pos != len(self._tokens):
             raise ProgramSyntaxError(
-                f"trailing tokens in expression: "
-                f"{self._tokens[self._pos:]!r}"
+                f"trailing tokens in expression: {self._tokens[self._pos :]!r}"
             )
         return expr
 
@@ -79,49 +86,55 @@ class _ExprParser:
 
 
 def _atom(token: str) -> ast.Expr:
-    if token.startswith("'") and token.endswith("'"):
+    if token[0] == "'" and token[-1] == "'":
         return ast.Const(token[1:-1])
-    if re.fullmatch(r"-?\d+", token):
+    # str.isdecimal is the regex class \d: Unicode category Nd.
+    if token.isdecimal() or (token[0] == "-" and token[1:].isdecimal()):
         return ast.Const(int(token))
-    if token == "True":
-        return ast.Const(True)
-    if token == "False":
-        return ast.Const(False)
-    if token == "None":
-        return ast.Const(None)
+    if token in _NAMED_CONSTANTS:
+        return ast.Const(_NAMED_CONSTANTS[token])
     return ast.Var(token)
 
 
 def parse_expression(text: str) -> ast.Expr:
     """Parse one rendered expression."""
+    if text.isdecimal():
+        return ast.Const(int(text))
+    if _BARE_TOKEN.fullmatch(text):
+        return _atom(text)
+    if text[:1] == "'" and text[-1] == "'" and text.count("'") == 2:
+        return ast.Const(text[1:-1])
     return _ExprParser(_tokenize_expr(text)).parse()
+
+
+#: Per separator: the characters that open or close a quote or a
+#: nesting level, and the separator itself.
+_SPLITTERS = {
+    separator: re.compile(r"['()\[\]]|" + re.escape(separator))
+    for separator in (", ", " ", " AND ")
+}
 
 
 def _split_top_level(text: str, separator: str) -> list[str]:
     """Split on a separator, ignoring occurrences inside quotes,
     parentheses, or brackets."""
     parts: list[str] = []
-    depth = 0
+    start = depth = 0
     quoted = False
-    current = []
-    index = 0
-    while index < len(text):
-        ch = text[index]
-        if ch == "'":
+    for match in _SPLITTERS[separator].finditer(text):
+        token = match[0]
+        if token == "'":
             quoted = not quoted
-        elif not quoted and ch in "([":
-            depth += 1
-        elif not quoted and ch in ")]":
-            depth -= 1
-        if (not quoted and depth == 0
-                and text.startswith(separator, index)):
-            parts.append("".join(current))
-            current = []
-            index += len(separator)
+        elif quoted:
             continue
-        current.append(ch)
-        index += 1
-    parts.append("".join(current))
+        elif token == "(" or token == "[":
+            depth += 1
+        elif token == ")" or token == "]":
+            depth -= 1
+        elif depth == 0:
+            parts.append(text[start : match.start()])
+            start = match.end()
+    parts.append(text[start:])
     return parts
 
 
@@ -143,13 +156,12 @@ def _parse_exprs(text: str) -> tuple[ast.Expr, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(parse_expression(part.strip())
-                 for part in _split_top_level(text, ", "))
+    return tuple(
+        parse_expression(part.strip()) for part in _split_top_level(text, ", ")
+    )
 
 
-_SSA_RE = re.compile(
-    r"^([A-Z0-9\-#]+)(?:\((.+?)(<=|>=|<>|=|<|>)(.+)\))?$"
-)
+_SSA_RE = re.compile(r"^([A-Z0-9\-#]+)(?:\((.+?)(<=|>=|<>|=|<|>)(.+)\))?$")
 
 
 def _parse_ssa(text: str) -> ast.SsaSpec:
@@ -159,8 +171,7 @@ def _parse_ssa(text: str) -> ast.SsaSpec:
     segment, field_name, op, value = match.groups()
     if field_name is None:
         return ast.SsaSpec(segment)
-    return ast.SsaSpec(segment, field_name, op,
-                       parse_expression(value))
+    return ast.SsaSpec(segment, field_name, op, parse_expression(value))
 
 
 def _parse_ssas(text: str) -> tuple[ast.SsaSpec, ...]:
@@ -171,284 +182,425 @@ def _parse_ssas(text: str) -> tuple[ast.SsaSpec, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Statements
+# Leaf statements
+# ---------------------------------------------------------------------------
+#
+# Each takes the statement without its period (``body``) and the text
+# after its first word (``rest``).  A malformed statement raises
+# ProgramSyntaxError, or fails on a missing regex match, which
+# ``_ProgramParser._block`` reports with the line number.
+
+_ACCEPT_RE = re.compile(r"^(\S+) PROMPT '([^']*)'$")
+_READ_RE = re.compile(r"^READ (\S+) INTO (\S+)$")
+_BIND_FIRST_RE = re.compile(r"^BIND FIRST (\S+) FROM (\S+)$")
+_PERFORM_RE = re.compile(r"^PERFORM ([A-Z0-9\-#]+)\((.*)\)$")
+_FIND_FIRST_RE = re.compile(r"^FIND FIRST (\S+) WITHIN (\S+)$")
+_FIND_NEXT_RE = re.compile(r"^FIND NEXT (\S+) WITHIN (\S+)(?: USING (.+))?$")
+_STORE_RE = re.compile(r"^STORE (\S+) \((.*)\)$")
+_MODIFY_RE = re.compile(r"^MODIFY (\S+) \((.*)\)$")
+_CONNECT_RE = re.compile(r"^CONNECT (\S+) TO (\S+)$")
+_DISCONNECT_RE = re.compile(r"^DISCONNECT (\S+) FROM (\S+)$")
+_RECONNECT_RE = re.compile(
+    r"^RECONNECT (\S+) IN (\S+) TO ([A-Z0-9\-#]+)=(.+?)( ENSURING OWNER)?$"
+)
+_QUERY_RE = re.compile(r"^QUERY \[(.+)\] INTO (\S+?)(?: USING \((.*)\))?$")
+_INSERT_RE = re.compile(r"^INSERT INTO (\S+) \((.*)\)$")
+_DELETE_RE = re.compile(r"^DELETE FROM (\S+) WHERE (.+)$")
+_UPDATE_RE = re.compile(r"^UPDATE (\S+) SET (.+) WHERE (.+)$")
+_ISRT_RE = re.compile(r"^ISRT (\S+) \((.*?)\)(?: UNDER (.+))?$")
+_REPL_RE = re.compile(r"^REPL \((.*)\)$")
+
+
+def _unrecognized(body: str) -> ProgramSyntaxError:
+    return ProgramSyntaxError(f"unrecognized statement {body!r}")
+
+
+def _where_pairs(text: str) -> tuple[tuple[str, ast.Expr], ...]:
+    """Parse ``K1=expr AND K2=expr`` conditions."""
+    return _parse_pairs(", ".join(_split_top_level(text, " AND ")))
+
+
+# -- host language ----------------------------------------------------------
+
+
+def _move(body: str, rest: str) -> ast.Stmt:
+    expr_text, _to, var = rest.rpartition(" TO ")
+    return ast.Assign(var.strip(), parse_expression(expr_text))
+
+
+def _display(body: str, rest: str) -> ast.Stmt:
+    return ast.WriteTerminal(_parse_exprs(rest))
+
+
+def _accept(body: str, rest: str) -> ast.Stmt:
+    match = _ACCEPT_RE.match(rest)
+    if match:
+        return ast.ReadTerminal(match.group(1), match.group(2))
+    return ast.ReadTerminal(rest.strip())
+
+
+def _read(body: str, rest: str) -> ast.Stmt:
+    match = _READ_RE.match(body)
+    if match is None:
+        raise ProgramSyntaxError(f"malformed READ: {body!r}")
+    return ast.ReadFile(match.group(1), match.group(2))
+
+
+def _write(body: str, rest: str) -> ast.Stmt:
+    exprs, _to, file_name = rest.rpartition(" TO ")
+    return ast.WriteFile(file_name.strip(), _parse_exprs(exprs))
+
+
+def _bind(body: str, rest: str) -> ast.Stmt:
+    if not rest.startswith("FIRST "):
+        raise _unrecognized(body)
+    match = _BIND_FIRST_RE.match(body)
+    if match is None:
+        raise ProgramSyntaxError(f"malformed BIND FIRST: {body!r}")
+    return ast.BindFirstRow(match.group(1), match.group(2))
+
+
+def _perform(body: str, rest: str) -> ast.Stmt:
+    match = _PERFORM_RE.match(body)
+    if match is None:
+        raise ProgramSyntaxError(f"malformed PERFORM: {body!r}")
+    return ast.Call(match.group(1), _parse_exprs(match.group(2)))
+
+
+# -- network DML ------------------------------------------------------------
+
+
+def _find(body: str, rest: str) -> ast.Stmt:
+    if rest.startswith("ANY "):
+        record, _using, using = rest[len("ANY ") :].partition(" USING ")
+        return ast.NetFindAny(record.strip(), _parse_pairs(using))
+    if rest.startswith("FIRST "):
+        match = _FIND_FIRST_RE.match(body)
+        return ast.NetFindFirst(match.group(1), match.group(2))
+    if rest.startswith("NEXT "):
+        match = _FIND_NEXT_RE.match(body)
+        if match.group(3):
+            using = _parse_pairs(match.group(3))
+            return ast.NetFindNextUsing(match.group(1), match.group(2), using)
+        return ast.NetFindNext(match.group(1), match.group(2))
+    if rest.startswith("OWNER WITHIN "):
+        return ast.NetFindOwner(rest[len("OWNER WITHIN ") :])
+    if rest.startswith("CURRENT "):
+        return ast.NetFindCurrent(rest[len("CURRENT ") :].strip())
+    raise _unrecognized(body)
+
+
+def _get(body: str, rest: str) -> ast.Stmt:
+    return ast.NetGet(rest.strip())
+
+
+def _store(body: str, rest: str) -> ast.Stmt:
+    match = _STORE_RE.match(body)
+    return ast.NetStore(match.group(1), _parse_pairs(match.group(2)))
+
+
+def _modify(body: str, rest: str) -> ast.Stmt:
+    match = _MODIFY_RE.match(body)
+    return ast.NetModify(match.group(1), _parse_pairs(match.group(2)))
+
+
+def _erase(body: str, rest: str) -> ast.Stmt:
+    if rest.endswith(" ALL MEMBERS"):
+        record = rest[: -len(" ALL MEMBERS")].strip()
+        return ast.NetErase(record, all_members=True)
+    return ast.NetErase(rest.strip())
+
+
+def _connect(body: str, rest: str) -> ast.Stmt:
+    match = _CONNECT_RE.match(body)
+    return ast.NetConnect(match.group(1), match.group(2))
+
+
+def _disconnect(body: str, rest: str) -> ast.Stmt:
+    match = _DISCONNECT_RE.match(body)
+    return ast.NetDisconnect(match.group(1), match.group(2))
+
+
+def _reconnect(body: str, rest: str) -> ast.Stmt:
+    match = _RECONNECT_RE.match(body)
+    if match is None:
+        raise ProgramSyntaxError(f"malformed RECONNECT: {body!r}")
+    return ast.NetReconnect(
+        match.group(1),
+        match.group(2),
+        match.group(3),
+        parse_expression(match.group(4)),
+        ensure_owner=match.group(5) is not None,
+    )
+
+
+def _call(body: str, rest: str) -> ast.Stmt:
+    if not rest.startswith("DML("):
+        raise _unrecognized(body)
+    parts = _split_top_level(rest[len("DML(") : -1], ", ")
+    verb = parse_expression(parts[0])
+    record = parts[1].strip()
+    pairs = _parse_pairs(", ".join(parts[2:])) if len(parts) > 2 else ()
+    return ast.NetGenericCall(verb, record, pairs)
+
+
+# -- relational DML ---------------------------------------------------------
+
+
+def _query(body: str, rest: str) -> ast.Stmt:
+    if not rest.startswith("["):
+        raise _unrecognized(body)
+    match = _QUERY_RE.match(body)
+    if match is None:
+        raise ProgramSyntaxError(f"malformed QUERY: {body!r}")
+    parameters = tuple(
+        p.strip() for p in (match.group(3) or "").split(",") if p.strip()
+    )
+    return ast.RelQuery(match.group(1), match.group(2), parameters)
+
+
+def _insert(body: str, rest: str) -> ast.Stmt:
+    if not rest.startswith("INTO "):
+        raise _unrecognized(body)
+    match = _INSERT_RE.match(body)
+    return ast.RelInsert(match.group(1), _parse_pairs(match.group(2)))
+
+
+def _delete(body: str, rest: str) -> ast.Stmt:
+    if not rest.startswith("FROM "):
+        raise _unrecognized(body)
+    match = _DELETE_RE.match(body)
+    return ast.RelDelete(match.group(1), _where_pairs(match.group(2)))
+
+
+def _update(body: str, rest: str) -> ast.Stmt:
+    match = _UPDATE_RE.match(body)
+    equal = _where_pairs(match.group(3))
+    return ast.RelUpdate(match.group(1), equal, _parse_pairs(match.group(2)))
+
+
+# -- hierarchical DML -------------------------------------------------------
+
+
+def _gu(body: str, rest: str) -> ast.Stmt:
+    return ast.HierGU(_parse_ssas(rest))
+
+
+def _gn(body: str, rest: str) -> ast.Stmt:
+    return ast.HierGN(_parse_ssas(rest))
+
+
+def _gnp(body: str, rest: str) -> ast.Stmt:
+    return ast.HierGNP(_parse_ssas(rest))
+
+
+def _isrt(body: str, rest: str) -> ast.Stmt:
+    match = _ISRT_RE.match(body)
+    if match is None:
+        raise ProgramSyntaxError(f"malformed ISRT: {body!r}")
+    return ast.HierISRT(
+        match.group(1),
+        _parse_pairs(match.group(2)),
+        _parse_ssas(match.group(3) or ""),
+    )
+
+
+def _dlet(body: str, rest: str) -> ast.Stmt:
+    return ast.HierDLET()
+
+
+def _repl(body: str, rest: str) -> ast.Stmt:
+    match = _REPL_RE.match(body)
+    return ast.HierREPL(_parse_pairs(match.group(1)))
+
+
+def _position(body: str, rest: str) -> ast.Stmt:
+    if rest != "PARENT":
+        raise _unrecognized(body)
+    return ast.HierPositionParent()
+
+
+#: Leaf statements by first word, followed by a space when the
+#: statement has operands and bare when it has none.
+_LEAVES: dict[str, Callable[[str, str], ast.Stmt]] = {
+    "MOVE ": _move,
+    "DISPLAY ": _display,
+    "DISPLAY": _display,
+    "ACCEPT ": _accept,
+    "READ ": _read,
+    "WRITE ": _write,
+    "BIND ": _bind,
+    "PERFORM ": _perform,
+    "FIND ": _find,
+    "GET ": _get,
+    "STORE ": _store,
+    "MODIFY ": _modify,
+    "ERASE ": _erase,
+    "CONNECT ": _connect,
+    "DISCONNECT ": _disconnect,
+    "RECONNECT ": _reconnect,
+    "CALL ": _call,
+    "QUERY ": _query,
+    "INSERT ": _insert,
+    "DELETE ": _delete,
+    "UPDATE ": _update,
+    "GU ": _gu,
+    "GU": _gu,
+    "GNP ": _gnp,
+    "GNP": _gnp,
+    "GN ": _gn,
+    "GN": _gn,
+    "ISRT ": _isrt,
+    "DLET": _dlet,
+    "REPL ": _repl,
+    "POSITION ": _position,
+}
+
+#: The openings of the compound statements.
+_OPENERS = ("IF ", "PERFORM WHILE ", "FOR EACH ")
+
+#: Lines that end the block before them.
+_BLOCK_ENDS = frozenset({"END-IF", "ELSE", "END-PERFORM", "END-FOR"})
+
+#: A line's first word, up to whitespace or a parenthesis.
+_FIRST_WORD = re.compile(r"[^\s(]*")
+
+_FOR_EACH_RE = re.compile(r"^FOR EACH (\S+) IN (\S+)$")
+_PROGRAM_RE = re.compile(r"^PROGRAM ([A-Z0-9\-#]+) \((\w+) / ([A-Z0-9\-#]+)\)\.$")
+_PROCEDURE_RE = re.compile(r"^PROCEDURE ([A-Z0-9\-#]+)\((.*)\)\.$")
+
+
+# ---------------------------------------------------------------------------
+# Programs and compound statements
 # ---------------------------------------------------------------------------
 
 
 class _ProgramParser:
     def __init__(self, text: str):
-        self._lines = [
-            (number, line.strip())
-            for number, line in enumerate(text.splitlines(), start=1)
-            if line.strip()
-        ]
+        self._text = text
+        #: The non-blank lines, stripped; :meth:`_line_no` numbers them.
+        self._lines = [line for line in map(str.strip, text.splitlines()) if line]
         self._pos = 0
 
-    def _peek(self) -> tuple[int, str] | None:
+    def _line_no(self, index: int) -> int:
+        """The 1-based text line of ``self._lines[index]`` (for error
+        messages only, so it is worked out again each time)."""
+        lines = enumerate(map(str.strip, self._text.splitlines()), start=1)
+        return [number for number, line in lines if line][index]
+
+    def _peek(self) -> str | None:
         if self._pos < len(self._lines):
             return self._lines[self._pos]
         return None
 
-    def _next(self) -> tuple[int, str]:
-        entry = self._peek()
-        if entry is None:
+    def _next(self) -> str:
+        line = self._peek()
+        if line is None:
             raise ProgramSyntaxError("unexpected end of program text")
         self._pos += 1
-        return entry
+        return line
 
     def parse(self) -> ast.Program:
-        line_no, header = self._next()
-        match = re.match(
-            r"^PROGRAM ([A-Z0-9\-#]+) \((\w+) / ([A-Z0-9\-#]+)\)\.$",
-            header,
-        )
+        header = self._next()
+        match = _PROGRAM_RE.match(header)
         if match is None:
             raise ProgramSyntaxError(
-                f"expected 'PROGRAM NAME (model / schema).', got "
-                f"{header!r}", line_no,
+                f"expected 'PROGRAM NAME (model / schema).', got {header!r}",
+                self._line_no(0),
             )
         name, model, schema_name = match.groups()
-        statements = self._block(stop={"PROCEDURE"})
+        statements = self._block(top=True)
         procedures = []
         while self._peek() is not None:
             procedures.append(self._procedure())
-        return ast.Program(name, model, schema_name, tuple(statements),
-                           tuple(procedures))
+        return ast.Program(name, model, schema_name, statements, tuple(procedures))
 
     def _procedure(self) -> ast.Procedure:
-        line_no, header = self._next()
-        match = re.match(r"^PROCEDURE ([A-Z0-9\-#]+)\((.*)\)\.$", header)
+        header = self._next()
+        match = _PROCEDURE_RE.match(header)
         if match is None:
             raise ProgramSyntaxError(
                 f"expected 'PROCEDURE NAME(params).', got {header!r}",
-                line_no,
+                self._line_no(self._pos - 1),
             )
         name, params_text = match.groups()
-        parameters = tuple(
-            p.strip() for p in params_text.split(",") if p.strip()
-        )
-        body = self._block(stop={"PROCEDURE"})
-        return ast.Procedure(name, parameters, tuple(body))
+        parameters = tuple(p.strip() for p in params_text.split(",") if p.strip())
+        return ast.Procedure(name, parameters, self._block(top=True))
 
-    def _block(self, stop: set[str]) -> list[ast.Stmt]:
-        statements: list[ast.Stmt] = []
-        while True:
-            entry = self._peek()
-            if entry is None:
-                return statements
-            _line_no, line = entry
-            head = line.split("(")[0].split()[0] if line else ""
-            if head in stop or line in ("END-IF", "ELSE", "END-PERFORM",
-                                        "END-FOR"):
-                return statements
-            if line.startswith("PROCEDURE "):
-                return statements
-            statements.append(self._statement())
+    def _block(self, top: bool) -> tuple[ast.Stmt, ...]:
+        """Statements up to the end of the text, a block terminator, or
+        a procedure header.  At the top level any line whose first
+        word is PROCEDURE ends the block, so a malformed header is
+        reported as one."""
+        statements = []
+        lines = self._lines
+        pos = self._pos
+        while pos < len(lines):
+            line = lines[pos]
+            if line in _BLOCK_ENDS:
+                break
+            if line[0] == "P" and (
+                line.startswith("PROCEDURE ")
+                or (top and _FIRST_WORD.match(line)[0] == "PROCEDURE")
+            ):
+                break
+            # A compound statement's blocks advance the position past
+            # the line that closes it.
+            self._pos = pos + 1
+            try:
+                statements.append(self._statement(line))
+            except ReproError:
+                raise
+            except Exception as error:  # tokenizer edge cases -> syntax error
+                message = f"cannot parse {line!r}: {error}"
+                raise ProgramSyntaxError(message, self._line_no(pos)) from error
+            pos = self._pos
+        return tuple(statements)
 
-    def _statement(self) -> ast.Stmt:
-        line_no, line = self._next()
-        try:
-            return self._dispatch(line)
-        except ProgramSyntaxError:
-            raise
-        except ReproError:
-            raise
-        except Exception as error:  # tokenizer edge cases -> syntax error
-            raise ProgramSyntaxError(
-                f"cannot parse {line!r}: {error}", line_no
-            ) from error
-
-    def _dispatch(self, line: str) -> ast.Stmt:
-        # -- compound statements ---------------------------------------
-        if line.startswith("IF "):
-            condition = parse_expression(line[3:])
-            then = self._block(stop=set())
-            _no, marker = self._next()
-            orelse: list[ast.Stmt] = []
-            if marker == "ELSE":
-                orelse = self._block(stop=set())
-                _no, marker = self._next()
-            if marker != "END-IF":
-                raise ProgramSyntaxError(
-                    f"expected END-IF, got {marker!r}"
-                )
-            return ast.If(condition, tuple(then), tuple(orelse))
-        if line.startswith("PERFORM WHILE "):
-            condition = parse_expression(line[len("PERFORM WHILE "):])
-            body = self._block(stop=set())
-            _no, marker = self._next()
-            if marker != "END-PERFORM":
-                raise ProgramSyntaxError(
-                    f"expected END-PERFORM, got {marker!r}"
-                )
-            return ast.While(condition, tuple(body))
-        if line.startswith("FOR EACH "):
-            match = re.match(r"^FOR EACH (\S+) IN (\S+)$", line)
-            if match is None:
-                raise ProgramSyntaxError(f"malformed FOR EACH: {line!r}")
-            body = self._block(stop=set())
-            _no, marker = self._next()
-            if marker != "END-FOR":
-                raise ProgramSyntaxError(
-                    f"expected END-FOR, got {marker!r}"
-                )
-            return ast.ForEachRow(match.group(1), match.group(2),
-                                  tuple(body))
-
-        # -- leaf statements (trailing period) ---------------------------
-        if not line.endswith("."):
+    def _statement(self, line: str) -> ast.Stmt:
+        if line.startswith(_OPENERS):
+            if line.startswith("IF "):
+                return self._if(line[len("IF ") :])
+            if line.startswith("PERFORM WHILE "):
+                return self._while(line[len("PERFORM WHILE ") :])
+            return self._for_each(line)
+        if line[-1] != ".":
             raise ProgramSyntaxError(f"missing period: {line!r}")
-        return self._leaf(line[:-1])
+        body = line[:-1]
+        word, space, rest = body.partition(" ")
+        leaf = _LEAVES.get(word + space)
+        if leaf is None:
+            raise _unrecognized(body)
+        return leaf(body, rest)
 
-    def _leaf(self, line: str) -> ast.Stmt:
-        # host language -------------------------------------------------
-        if line.startswith("MOVE "):
-            expr_text, _sep, var = line[5:].rpartition(" TO ")
-            return ast.Assign(var.strip(), parse_expression(expr_text))
-        if line.startswith("DISPLAY "):
-            return ast.WriteTerminal(_parse_exprs(line[8:]))
-        if line == "DISPLAY":
-            return ast.WriteTerminal(())
-        if line.startswith("ACCEPT "):
-            rest = line[7:]
-            match = re.match(r"^(\S+) PROMPT '([^']*)'$", rest)
-            if match:
-                return ast.ReadTerminal(match.group(1), match.group(2))
-            return ast.ReadTerminal(rest.strip())
-        if line.startswith("READ "):
-            match = re.match(r"^READ (\S+) INTO (\S+)$", line)
-            if match is None:
-                raise ProgramSyntaxError(f"malformed READ: {line!r}")
-            return ast.ReadFile(match.group(1), match.group(2))
-        if line.startswith("WRITE "):
-            body, _sep, file_name = line[6:].rpartition(" TO ")
-            return ast.WriteFile(file_name.strip(), _parse_exprs(body))
-        if line.startswith("BIND FIRST "):
-            match = re.match(r"^BIND FIRST (\S+) FROM (\S+)$", line)
-            if match is None:
-                raise ProgramSyntaxError(f"malformed BIND FIRST: {line!r}")
-            return ast.BindFirstRow(match.group(1), match.group(2))
-        if line.startswith("PERFORM "):
-            match = re.match(r"^PERFORM ([A-Z0-9\-#]+)\((.*)\)$", line)
-            if match is None:
-                raise ProgramSyntaxError(f"malformed PERFORM: {line!r}")
-            return ast.Call(match.group(1), _parse_exprs(match.group(2)))
+    def _end(self, marker: str) -> None:
+        line = self._next()
+        if line != marker:
+            raise ProgramSyntaxError(f"expected {marker}, got {line!r}")
 
-        # network DML ----------------------------------------------------
-        if line.startswith("FIND ANY "):
-            rest = line[len("FIND ANY "):]
-            record, _sep, using = rest.partition(" USING ")
-            return ast.NetFindAny(record.strip(), _parse_pairs(using))
-        if line.startswith("FIND FIRST "):
-            match = re.match(r"^FIND FIRST (\S+) WITHIN (\S+)$", line)
-            return ast.NetFindFirst(match.group(1), match.group(2))
-        if line.startswith("FIND NEXT "):
-            match = re.match(
-                r"^FIND NEXT (\S+) WITHIN (\S+)(?: USING (.+))?$", line)
-            if match.group(3):
-                return ast.NetFindNextUsing(match.group(1), match.group(2),
-                                            _parse_pairs(match.group(3)))
-            return ast.NetFindNext(match.group(1), match.group(2))
-        if line.startswith("FIND OWNER WITHIN "):
-            return ast.NetFindOwner(line[len("FIND OWNER WITHIN "):])
-        if line.startswith("FIND CURRENT "):
-            return ast.NetFindCurrent(line[len("FIND CURRENT "):].strip())
-        if line.startswith("GET "):
-            return ast.NetGet(line[4:].strip())
-        if line.startswith("STORE "):
-            match = re.match(r"^STORE (\S+) \((.*)\)$", line)
-            return ast.NetStore(match.group(1),
-                                _parse_pairs(match.group(2)))
-        if line.startswith("MODIFY "):
-            match = re.match(r"^MODIFY (\S+) \((.*)\)$", line)
-            return ast.NetModify(match.group(1),
-                                 _parse_pairs(match.group(2)))
-        if line.startswith("ERASE "):
-            rest = line[6:]
-            if rest.endswith(" ALL MEMBERS"):
-                return ast.NetErase(rest[:-len(" ALL MEMBERS")].strip(),
-                                    all_members=True)
-            return ast.NetErase(rest.strip())
-        if line.startswith("CONNECT "):
-            match = re.match(r"^CONNECT (\S+) TO (\S+)$", line)
-            return ast.NetConnect(match.group(1), match.group(2))
-        if line.startswith("DISCONNECT "):
-            match = re.match(r"^DISCONNECT (\S+) FROM (\S+)$", line)
-            return ast.NetDisconnect(match.group(1), match.group(2))
-        if line.startswith("RECONNECT "):
-            match = re.match(
-                r"^RECONNECT (\S+) IN (\S+) TO ([A-Z0-9\-#]+)=(.+?)"
-                r"( ENSURING OWNER)?$", line)
-            if match is None:
-                raise ProgramSyntaxError(f"malformed RECONNECT: {line!r}")
-            return ast.NetReconnect(
-                match.group(1), match.group(2), match.group(3),
-                parse_expression(match.group(4)),
-                ensure_owner=match.group(5) is not None,
-            )
-        if line.startswith("CALL DML("):
-            inner = line[len("CALL DML("):-1]
-            parts = _split_top_level(inner, ", ")
-            verb = parse_expression(parts[0])
-            record = parts[1].strip()
-            pairs = _parse_pairs(", ".join(parts[2:])) if len(parts) > 2 \
-                else ()
-            return ast.NetGenericCall(verb, record, pairs)
+    def _if(self, condition_text: str) -> ast.If:
+        condition = parse_expression(condition_text)
+        then = self._block(top=False)
+        orelse: tuple[ast.Stmt, ...] = ()
+        if self._peek() == "ELSE":
+            self._pos += 1
+            orelse = self._block(top=False)
+        self._end("END-IF")
+        return ast.If(condition, then, orelse)
 
-        # relational DML ---------------------------------------------------
-        if line.startswith("QUERY ["):
-            match = re.match(
-                r"^QUERY \[(.+)\] INTO (\S+?)(?: USING \((.*)\))?$", line)
-            if match is None:
-                raise ProgramSyntaxError(f"malformed QUERY: {line!r}")
-            parameters = tuple(
-                p.strip() for p in (match.group(3) or "").split(",")
-                if p.strip()
-            )
-            return ast.RelQuery(match.group(1), match.group(2), parameters)
-        if line.startswith("INSERT INTO "):
-            match = re.match(r"^INSERT INTO (\S+) \((.*)\)$", line)
-            return ast.RelInsert(match.group(1),
-                                 _parse_pairs(match.group(2)))
-        if line.startswith("DELETE FROM "):
-            match = re.match(r"^DELETE FROM (\S+) WHERE (.+)$", line)
-            pairs = _parse_pairs(
-                ", ".join(_split_top_level(match.group(2), " AND "))
-            )
-            return ast.RelDelete(match.group(1), pairs)
-        if line.startswith("UPDATE "):
-            match = re.match(r"^UPDATE (\S+) SET (.+) WHERE (.+)$", line)
-            equal = _parse_pairs(
-                ", ".join(_split_top_level(match.group(3), " AND "))
-            )
-            return ast.RelUpdate(match.group(1), equal,
-                                 _parse_pairs(match.group(2)))
+    def _while(self, condition_text: str) -> ast.While:
+        condition = parse_expression(condition_text)
+        body = self._block(top=False)
+        self._end("END-PERFORM")
+        return ast.While(condition, body)
 
-        # hierarchical DML ----------------------------------------------------
-        if line == "GU" or line.startswith("GU "):
-            return ast.HierGU(_parse_ssas(line[2:]))
-        if line == "GNP" or line.startswith("GNP "):
-            return ast.HierGNP(_parse_ssas(line[3:]))
-        if line == "GN" or line.startswith("GN "):
-            return ast.HierGN(_parse_ssas(line[2:]))
-        if line.startswith("ISRT "):
-            match = re.match(r"^ISRT (\S+) \((.*?)\)(?: UNDER (.+))?$",
-                             line)
-            if match is None:
-                raise ProgramSyntaxError(f"malformed ISRT: {line!r}")
-            return ast.HierISRT(
-                match.group(1), _parse_pairs(match.group(2)),
-                _parse_ssas(match.group(3) or ""),
-            )
-        if line == "DLET":
-            return ast.HierDLET()
-        if line.startswith("REPL "):
-            match = re.match(r"^REPL \((.*)\)$", line)
-            return ast.HierREPL(_parse_pairs(match.group(1)))
-        if line == "POSITION PARENT":
-            return ast.HierPositionParent()
-
-        raise ProgramSyntaxError(f"unrecognized statement {line!r}")
+    def _for_each(self, line: str) -> ast.ForEachRow:
+        match = _FOR_EACH_RE.match(line)
+        if match is None:
+            raise ProgramSyntaxError(f"malformed FOR EACH: {line!r}")
+        body = self._block(top=False)
+        self._end("END-FOR")
+        return ast.ForEachRow(match.group(1), match.group(2), body)
 
 
 def parse_program(text: str) -> ast.Program:
@@ -461,5 +613,4 @@ def roundtrips(program: ast.Program) -> bool:
     return parse_program(ast.render_program(program)) == program
 
 
-__all__ = ["parse_program", "parse_expression", "ProgramSyntaxError",
-           "roundtrips"]
+__all__ = ["parse_program", "parse_expression", "ProgramSyntaxError", "roundtrips"]

@@ -105,10 +105,7 @@ class Relation:
         index_key = self._best_index(equal)
         if index_key is None:
             return None
-        rids = self._indexes[index_key].lookup(
-            tuple(equal[c] for c in index_key)
-        )
-        self.metrics.index_hits += 1
+        rids = self._index_rids(index_key, equal)
         rows = [self._row_by_rid[rid] for rid in rids]
         self.metrics.records_read += len(rows)
         residual = [c for c in equal if c not in index_key]
@@ -124,10 +121,7 @@ class Relation:
         index_key = self._best_index(equal)
         if index_key is None:
             return None
-        rids = self._indexes[index_key].lookup(
-            tuple(equal[c] for c in index_key)
-        )
-        self.metrics.index_hits += 1
+        rids = self._index_rids(index_key, equal)
         if self._pos_by_rid is None:
             self._pos_by_rid = {
                 rid: pos for pos, rid in enumerate(self._rids)
@@ -140,6 +134,17 @@ class Relation:
             if all(row[c] == equal[c] for c in residual):
                 out.append((self._pos_by_rid[rid] + 1, row))
         return out
+
+    def _index_rids(self, index_key: tuple[str, ...],
+                    equal: dict[str, Any]) -> list[int]:
+        """The rids under one index key, in row order: a bucket holds
+        them in the order they entered it, and an update can move a
+        row into a bucket after later rows, but rids ascend with row
+        position and rows never move."""
+        self.metrics.index_hits += 1
+        return sorted(self._indexes[index_key].lookup(
+            tuple(equal[c] for c in index_key)
+        ))
 
     def _best_index(self, equal: dict[str, Any]) -> tuple[str, ...] | None:
         """The widest maintained index whose columns all appear in the

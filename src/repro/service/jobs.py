@@ -6,17 +6,24 @@ terminal inputs, plus a bag of conversion options -- exactly the
 artifacts ``repro convert`` takes on the shell, normalized by
 :func:`validate_submission`.  The :class:`JobManager` owns a bounded
 queue of jobs, one executor thread draining it, and a *spool*
-directory in which every job keeps its manifest (``job.json``), its
-batch checkpoint (``checkpoint.json``, the same journal the CLI
-writes), and its report artifact (``report.json``).  The manifest and
-report are written through :func:`repro.jsonio.write_json_atomic`;
-the checkpoint is the batch layer's journal: while the job runs,
-settled programs are appended to ``checkpoint.json.log`` (and to
-``checkpoint.json.shard<k>`` by pool workers), folded into
-``checkpoint.json`` once the batch ends or is interrupted.  A crash at
-any instant leaves parseable, resumable state, and
-``GET /jobs/<id>/checkpoint`` serves the folded document even while
-only the logs exist (:meth:`Job.checkpoint_bytes`).
+directory in which every job keeps its submission
+(``submission.json``, written once at admission), its state manifest
+(``job.json``), its batch checkpoint (``checkpoint.json``, the same
+journal the CLI writes), and its report artifact (``report.json``).
+The submission, manifest and report are written through
+:func:`repro.jsonio.write_json_atomic`; the checkpoint is the batch
+layer's journal: while the job runs, settled programs are appended to
+``checkpoint.json.log`` (and to ``checkpoint.json.shard<k>`` by pool
+workers), folded into ``checkpoint.json`` once the batch ends or is
+interrupted.  A crash at any instant leaves parseable, resumable
+state, and ``GET /jobs/<id>/checkpoint`` serves the folded document
+even while only the logs exist (:meth:`Job.checkpoint_bytes`).
+
+Admission parses every program and the loader, and the executor
+converts those parsed programs; a job holds its submission and parsed
+programs only until it ends.  A job restored from the spool, or
+resumed, reads ``submission.json`` and parses its programs again.
+The loader is parsed again only when the cascade is built.
 
 Execution routes through the public facade
 (:func:`repro.api.build_cascade` + :func:`repro.api.convert_batch`),
@@ -62,12 +69,15 @@ from repro.observe.stream import (
 )
 from repro.options import ConversionOptions
 from repro.parallel import ParallelExecutionError, WorkerPool
+from repro.programs.ast import Program
 from repro.programs.interpreter import ProgramInputs
 from repro.programs.parser import parse_program
 
 log = logging.getLogger(__name__)
 
-MANIFEST_VERSION = 1
+#: Version 2 manifests hold state only, beside the job's
+#: ``submission.json``; version 1 manifests embed the submission.
+MANIFEST_VERSION = 2
 
 STATE_QUEUED = "queued"
 STATE_RUNNING = "running"
@@ -99,13 +109,14 @@ class QueueFullError(ReproError):
     """The bounded job queue is at capacity (HTTP 503)."""
 
 
-def validate_submission(payload: Any) -> dict[str, Any]:
+def validate_submission(payload: Any) -> tuple[dict[str, Any], list[Program]]:
     """Normalize and validate one job submission.
 
     Artifacts are parsed *now*, so a submission with a DDL typo is
     refused at the front door (HTTP 400 with the parse error) instead
     of burning a queue slot to fail later.  Returns the normalized
-    submission dict that is persisted in the job manifest.
+    submission dict that is persisted as ``submission.json`` and the
+    parsed programs, so the executor does not parse them again.
     """
     if not isinstance(payload, dict):
         raise SubmissionError("submission must be a JSON object")
@@ -125,8 +136,7 @@ def validate_submission(payload: Any) -> dict[str, Any]:
         raise SubmissionError("submission field 'data' must be loader program text")
     rules = payload.get("rules")
     if rules is not None and not isinstance(rules, str):
-        raise SubmissionError(
-            "submission field 'rules' must be rule-catalog text")
+        raise SubmissionError("submission field 'rules' must be rule-catalog text")
     inputs = payload.get("inputs", [])
     valid_inputs = isinstance(inputs, list)
     if valid_inputs:
@@ -155,17 +165,18 @@ def validate_submission(payload: Any) -> dict[str, Any]:
         from repro.restructure.spec import parse_spec
 
         parse_spec(payload["spec"])
-        names = [parse_program(text).name for text in programs]
+        parsed = [parse_program(text) for text in programs]
         if data is not None:
             parse_program(data)
         if rules is not None:
             api.load_rule_catalog(rules)
     except ReproError as exc:
         raise SubmissionError(f"unparseable submission artifact: {exc}") from exc
+    names = [program.name for program in parsed]
     if len(set(names)) != len(names):
         raise SubmissionError(f"duplicate program names in batch: {names}")
 
-    return {
+    submission = {
         "ddl": payload["ddl"],
         "spec": payload["spec"],
         "programs": list(programs),
@@ -175,6 +186,7 @@ def validate_submission(payload: Any) -> dict[str, Any]:
         "inputs": list(inputs),
         "options": dict(options),
     }
+    return submission, parsed
 
 
 class Job:
@@ -183,22 +195,29 @@ class Job:
     State, progress counters, and the bounded-memory event buffer all
     live behind one condition variable; SSE followers block on it in
     :meth:`follow` and are woken by every :meth:`emit`.
+
+    ``submission`` and ``programs`` hold the validated submission and
+    its parsed programs from admission until the job reaches a
+    terminal state, which drops them; :meth:`load_submission` reads
+    the submission back from the spool and parses its programs
+    again.
     """
 
     def __init__(
         self,
         job_id: str,
         directory: Path,
-        submission: dict[str, Any],
+        total: int,
         state: str = STATE_QUEUED,
     ):
         self.id = job_id
         self.dir = Path(directory)
-        self.submission = submission
+        self.submission: dict[str, Any] | None = None
+        self.programs: list[Program] | None = None
         self.state = state
         self.error: str | None = None
         self.resume = False
-        self.total = len(submission["programs"])
+        self.total = total
         self.done = 0
         self.counts: dict[str, int] = {}
         self.events: list[tuple[int, str, dict[str, Any]]] = []
@@ -209,6 +228,10 @@ class Job:
     @property
     def manifest_path(self) -> Path:
         return self.dir / "job.json"
+
+    @property
+    def submission_path(self) -> Path:
+        return self.dir / "submission.json"
 
     @property
     def checkpoint_path(self) -> Path:
@@ -234,11 +257,15 @@ class Job:
 
     def set_state(self, state: str, error: str | None = None) -> None:
         """Transition and narrate: every state change is also a
-        ``job`` event on the stream."""
+        ``job`` event on the stream, appended under the same lock, so
+        a follower never sees a terminal state without its event.  A
+        terminal state drops the submission and the parsed programs."""
         with self.cond:
             self.state = state
             self.error = error
-        self.emit("job", self._job_event())
+            if self.terminal:
+                self.submission = self.programs = None
+            self.emit("job", self._job_event())
 
     def _job_event(self) -> dict[str, Any]:
         data: dict[str, Any] = {
@@ -343,29 +370,38 @@ class Job:
                 "done": self.done,
                 "total": self.total,
                 "counts": dict(self.counts),
-                "submission": self.submission,
             }
         write_json_atomic(manifest, self.manifest_path)
+
+    def load_submission(self) -> None:
+        """Read the submission back from the spool and parse its
+        programs."""
+        submission = json.loads(self.submission_path.read_text())
+        self.programs = [parse_program(text) for text in submission["programs"]]
+        self.submission = submission
 
     @classmethod
     def restore(cls, manifest_path: Path) -> "Job":
         data = json.loads(manifest_path.read_text())
-        if data.get("version") != MANIFEST_VERSION:
-            found = data.get("version")
+        version = data.get("version")
+        if version not in (1, MANIFEST_VERSION):
             message = (
-                f"job manifest {manifest_path} has version {found!r}, "
-                f"expected {MANIFEST_VERSION}"
+                f"job manifest {manifest_path} has version {version!r}, "
+                f"expected 1 or {MANIFEST_VERSION}"
             )
             raise SubmissionError(message)
         job = cls(
             data["id"],
             manifest_path.parent,
-            data["submission"],
+            data["total"],
             state=data["state"],
         )
+        if version == 1 and not job.submission_path.exists():
+            # Move the embedded submission out before the next
+            # persist writes a manifest without it.
+            write_json_atomic(data["submission"], job.submission_path)
         job.error = data.get("error")
         job.done = data.get("done", 0)
-        job.total = data.get("total", job.total)
         job.counts = dict(data.get("counts", {}))
         return job
 
@@ -493,15 +529,18 @@ class JobManager:
     def submit(self, payload: Any) -> Job:
         """Validate, spool, and enqueue a new job (or raise
         :class:`SubmissionError` / :class:`QueueFullError`)."""
-        submission = validate_submission(payload)
+        submission, programs = validate_submission(payload)
         with self._admission:
             if self.queue.full():
                 raise self._queue_full_error()
             with self._lock:
                 job_id = self._next_id()
-                job = Job(job_id, self.spool / job_id, submission)
+                job = Job(job_id, self.spool / job_id, len(programs))
+                job.submission = submission
+                job.programs = programs
                 self.jobs[job_id] = job
-            job.dir.mkdir(parents=True, exist_ok=True)
+            # The submission first: every manifest has its submission.
+            write_json_atomic(submission, job.submission_path)
             # Persist and emit *before* enqueueing: once the executor can
             # see the job it may persist concurrently, and two writers
             # racing one manifest path is exactly what atomic writes of a
@@ -659,12 +698,13 @@ class JobManager:
     def _execute(self, job: Job) -> None:
         job.set_state(STATE_RUNNING)
         job.persist()
-        submission = job.submission
         registry = get_registry()
         try:
+            if job.submission is None:  # restored from the spool, or resumed
+                job.load_submission()
+            programs = job.programs
             options = self._options_for(job)
             cascade = self._cascade_for(job, options)
-            programs = [parse_program(text) for text in submission["programs"]]
             pool = self._pool_for(job, cascade, options, len(programs))
             # After the cache lookups: evicting a cached cascade drops
             # its counters from the registry, which must not cancel

@@ -435,7 +435,7 @@ def test_submission_rules_must_parse():
 
 def test_submission_keeps_valid_rules():
     rules = (EXAMPLES / "store-default.rules").read_text()
-    normalized = validate_submission(_submission(rules=rules))
+    normalized, _programs = validate_submission(_submission(rules=rules))
     assert normalized["rules"] == rules
 
 

@@ -196,6 +196,26 @@ class TestMandatoryMembership:
         with pytest.raises(MandatoryViolation):
             session.erase()
 
+    def test_refused_erase_changes_nothing(self):
+        """An OPTIONAL set earlier in schema order than the MANDATORY
+        one that refuses the erase keeps its member."""
+        schema = Schema("TAGGED")
+        schema.define_record("O", {"K": "X(2)"})
+        schema.define_record("M", {"V": "9(2)"})
+        schema.define_set("TAGS", "O", "M")
+        schema.define_set("HOLDS", "O", "M", retention=Retention.MANDATORY)
+        db = NetworkDatabase(schema)
+        owner = db.insert_record("O", {"K": "A"})
+        tagged = db.insert_record("M", {"V": 1})
+        held = db.insert_record("M", {"V": 2})
+        db.connect("TAGS", owner.rid, tagged.rid)
+        db.connect("HOLDS", owner.rid, held.rid)
+        before = db.state_fingerprint()
+        with pytest.raises(MandatoryViolation):
+            db.delete_record("O", owner.rid)
+        assert db.state_fingerprint() == before
+        assert db.set_store("TAGS").members(owner.rid) == [tagged.rid]
+
     def test_erase_all_members_allows_cascade(self, strict_db):
         session = DMLSession(strict_db)
         session.store("P", {"K": "A"})

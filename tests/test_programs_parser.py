@@ -1,6 +1,7 @@
 """Tests for the pseudo-COBOL program text parser."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.programs import ast
 from repro.programs import builder as b
@@ -12,6 +13,11 @@ from repro.programs.parser import (
     roundtrips,
 )
 from repro.workloads.corpus import CorpusSpec, generate_corpus
+from repro.workloads.inventory import (
+    INVENTORY_PATHOLOGY_KINDS,
+    InventorySpec,
+    generate_inventory,
+)
 
 
 class TestExpressionParsing:
@@ -106,6 +112,16 @@ class TestStatementParsing:
     def test_leaf_round_trip(self, stmt):
         assert self.parse_single(stmt.render() + ".") == stmt
 
+    @pytest.mark.parametrize("text, stmt", [
+        ("DISPLAY.", ast.WriteTerminal(())),
+        ("GU.", ast.HierGU(())),
+        ("GN.", ast.HierGN(())),
+        ("GNP.", ast.HierGNP(())),
+        ("DLET.", ast.HierDLET()),
+    ])
+    def test_hand_written_statements_without_operands(self, text, stmt):
+        assert self.parse_single(text) == stmt
+
     def test_if_else_round_trip(self):
         program = b.program("T", "network", "S", [
             b.if_(b.gt(b.v("A"), 1), [b.display("BIG")],
@@ -172,6 +188,163 @@ class TestCorpusRoundTrip:
             trace_parsed = run_program(
                 parsed, company.company_db(seed=5), consistent=False)
             assert trace_original == trace_parsed
+
+
+# -- generated programs -------------------------------------------------
+#
+# Names come from fixed lists: the property is about statement forms,
+# not identifier lexing.  Strings are lowercase so they never spell a
+# keyword (" TO ", " WHERE ", " UNDER ", ...) the line grammar splits
+# on, and carry spaces, commas and parentheses.
+
+VARS = st.sampled_from(["A", "B-1", "X#2", "DB-STATUS", "EMP.AGE", "$ROWS-1"])
+IDENTS = st.sampled_from(["EMP", "DIV", "DIV-EMP", "COURSE", "T1", "A#2"])
+FIELDS = st.sampled_from(["EMP-NAME", "AGE", "K", "CNO"])
+TEXTS = st.text(alphabet="abz09 ,()", max_size=8)
+CONSTS = st.one_of(
+    st.integers(-10**6, 10**6), TEXTS, st.sampled_from([True, False, None]),
+).map(ast.Const)
+EXPRS = st.recursive(
+    CONSTS | VARS.map(ast.Var),
+    lambda inner: st.builds(ast.Bin, st.sampled_from(
+        ["AND", "OR", "=", "<>", "<=", ">=", "<", ">", "+", "-", "*"]),
+        inner, inner),
+    max_leaves=5,
+)
+EXPR_LISTS = st.lists(EXPRS, max_size=3).map(tuple)
+PAIRS = st.lists(st.tuples(FIELDS, EXPRS), max_size=3).map(tuple)
+SOME_PAIRS = st.lists(st.tuples(FIELDS, EXPRS), min_size=1, max_size=3).map(
+    tuple)
+SSAS = st.lists(st.one_of(
+    IDENTS.map(ast.SsaSpec),
+    st.builds(ast.SsaSpec, IDENTS, FIELDS,
+              st.sampled_from(["=", "<>", "<", "<=", ">", ">="]), EXPRS),
+), max_size=3).map(tuple)
+
+HOST_LEAVES = [
+    st.builds(ast.Assign, VARS, EXPRS),
+    st.builds(ast.BindFirstRow, VARS, VARS),
+    st.builds(ast.Call, IDENTS, EXPR_LISTS),
+    st.builds(ast.ReadTerminal, VARS, st.none() | TEXTS.filter(bool)),
+    st.builds(ast.WriteTerminal, EXPR_LISTS),
+    st.builds(ast.ReadFile, IDENTS, VARS),
+    st.builds(ast.WriteFile, IDENTS, EXPR_LISTS),
+]
+DML_LEAVES = {
+    "network": [
+        st.builds(ast.NetFindAny, IDENTS, PAIRS),
+        st.builds(ast.NetFindFirst, IDENTS, IDENTS),
+        st.builds(ast.NetFindNext, IDENTS, IDENTS),
+        st.builds(ast.NetFindNextUsing, IDENTS, IDENTS, SOME_PAIRS),
+        st.builds(ast.NetFindOwner, IDENTS),
+        st.builds(ast.NetFindCurrent, IDENTS),
+        st.builds(ast.NetGet, IDENTS),
+        st.builds(ast.NetStore, IDENTS, PAIRS),
+        st.builds(ast.NetModify, IDENTS, PAIRS),
+        st.builds(ast.NetErase, IDENTS, st.booleans()),
+        st.builds(ast.NetConnect, IDENTS, IDENTS),
+        st.builds(ast.NetDisconnect, IDENTS, IDENTS),
+        st.builds(ast.NetReconnect, IDENTS, IDENTS, FIELDS, EXPRS,
+                  st.booleans()),
+        st.builds(ast.NetGenericCall, EXPRS, IDENTS, PAIRS),
+    ],
+    "relational": [
+        st.builds(ast.RelQuery,
+                  st.sampled_from(["SELECT A FROM T",
+                                   "SELECT A, B FROM T WHERE C = ?X"]),
+                  VARS, st.lists(IDENTS, max_size=2).map(tuple)),
+        st.builds(ast.RelInsert, IDENTS, PAIRS),
+        st.builds(ast.RelDelete, IDENTS, SOME_PAIRS),
+        st.builds(ast.RelUpdate, IDENTS, SOME_PAIRS, SOME_PAIRS),
+    ],
+    "hierarchical": [
+        st.builds(ast.HierGU, SSAS),
+        st.builds(ast.HierGN, SSAS),
+        st.builds(ast.HierGNP, SSAS),
+        st.builds(ast.HierISRT, IDENTS, PAIRS, SSAS),
+        st.builds(ast.HierDLET),
+        st.builds(ast.HierREPL, PAIRS),
+        st.builds(ast.HierPositionParent),
+    ],
+}
+
+
+def nest(draw, statements, depth=0):
+    """Wrap random runs of ``statements`` in IF/ELSE, PERFORM WHILE and
+    FOR EACH blocks, down to three levels."""
+    out, index = [], 0
+    while index < len(statements):
+        if depth == 3 or not draw(st.booleans()):
+            out.append(statements[index])
+            index += 1
+            continue
+        size = draw(st.integers(0, len(statements) - index))
+        body = nest(draw, statements[index:index + size], depth + 1)
+        index += size
+        kind = draw(st.sampled_from(["if", "while", "for"]))
+        if kind == "if":
+            cut = draw(st.integers(0, len(body)))
+            out.append(ast.If(draw(EXPRS), body[:cut], body[cut:]))
+        elif kind == "while":
+            out.append(ast.While(draw(EXPRS), body))
+        else:
+            out.append(ast.ForEachRow(draw(VARS), draw(VARS), body))
+    return tuple(out)
+
+
+@st.composite
+def programs(draw):
+    """A program of one data model holding every leaf statement form
+    of that model and of the host language, nested at random and
+    spread over the main block and up to two procedures."""
+    model = draw(st.sampled_from(sorted(DML_LEAVES)))
+    leaves = [draw(form) for form in HOST_LEAVES + DML_LEAVES[model]]
+    leaves = draw(st.permutations(leaves))
+    cuts = sorted(draw(st.lists(st.integers(0, len(leaves)), max_size=2)))
+    parts = [leaves[a:b] for a, b in zip([0, *cuts], [*cuts, len(leaves)])]
+    names = draw(st.lists(IDENTS, min_size=len(cuts), max_size=len(cuts),
+                          unique=True))
+    procedures = tuple(
+        ast.Procedure(name, draw(st.lists(VARS, max_size=2).map(tuple)),
+                      nest(draw, part))
+        for name, part in zip(names, parts[1:])
+    )
+    return ast.Program(draw(IDENTS), model, draw(IDENTS),
+                       nest(draw, parts[0]), procedures)
+
+
+class TestGeneratedRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(programs())
+    def test_generated_programs_round_trip(self, program):
+        parsed = parse_program(render_program(program))
+        assert parsed == program
+        # Equality cannot tell Const(True) from Const(1); repr can.
+        assert repr(parsed) == repr(program)
+
+    @pytest.mark.parametrize("kind", INVENTORY_PATHOLOGY_KINDS + (
+        "report", "lookup", "raise", "fire", "audit", "satellite", "hire",
+        "guarded-store"))
+    def test_every_inventory_kind_round_trips(self, kind):
+        corpus = generate_inventory(InventorySpec(seed=11, programs=400,
+                                                  pathology_rate=0.5))
+        item = next(item for item in corpus if item.kind == kind)
+        assert parse_program(render_program(item.program)) == item.program
+
+    def test_store_only_loader_round_trips(self):
+        stores = [
+            b.store("DIV", **{"DIV-NAME": f"D{d:03d}", "DIV-LOC": "NEW YORK"})
+            for d in range(3)
+        ] + [
+            b.store("ASSET-01", **{"ASSET-01-TAG": "T(1), x",
+                                   "ASSET-01-COST": -cost,
+                                   "DIV-NAME": "D000"})
+            for cost in (0, 7, 999_999)
+        ]
+        loader = b.program("INVENTORY-LOADER", "network", "INVENTORY", stores)
+        text = render_program(loader)
+        assert text.count("STORE ") == 6
+        assert parse_program(text) == loader
 
 
 def test_hand_written_source_text(company_db):

@@ -96,6 +96,21 @@ def test_indexes_follow_every_mutating_verb():
     assert [row["EMP-NAME"] for row in relation] == ["E0", "E2", "E4"]
 
 
+def test_lookups_keep_row_order_after_a_row_changes_key():
+    """A row updated into a bucket after later rows still comes back
+    in row order, as the scan gives it."""
+    relation = Relation("EMP", ["ENO", "DNO"])
+    relation.add_index(("DNO",))
+    relation.extend([{"ENO": 1, "DNO": "A"}, {"ENO": 2, "DNO": "B"}])
+    relation.update_where(lambda row: row["ENO"] == 1, {"DNO": "B"})
+    scanned = [row["ENO"] for row in relation if row["DNO"] == "B"]
+    assert scanned == [1, 2]
+    rows = relation.lookup_rows({"DNO": "B"})
+    assert [row["ENO"] for row in rows] == scanned
+    positions = relation.lookup_positions({"DNO": "B"})
+    assert [(pos, row["ENO"]) for pos, row in positions] == [(1, 1), (2, 2)]
+
+
 def test_full_scan_counter_on_uncovered_equality():
     relation = make_relation()
     before = relation.metrics.full_scans

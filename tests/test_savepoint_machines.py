@@ -139,9 +139,11 @@ def network_schema() -> Schema:
                          calc_keys=["TAG"])
     schema.define_set("ALL-OWNER", "SYSTEM", "OWNER", order_keys=["KEY"],
                       allow_duplicates=False)
+    # TAGGED (OPTIONAL) comes first, so a refused ERASE of an OWNER
+    # has an OPTIONAL occurrence it must not disconnect.
+    schema.define_set("TAGGED", "OWNER", "ITEM")
     schema.define_set("HOLDS", "OWNER", "ITEM", order_keys=["SEQ"],
                       retention=Retention.MANDATORY, allow_duplicates=False)
-    schema.define_set("TAGGED", "OWNER", "ITEM")
     return schema
 
 
@@ -256,11 +258,13 @@ class NetworkMachine(SavepointMachine):
             with pytest.raises(RecordNotFound):
                 self.db.delete_record(record_name, 99)
             return
+        rid = self.rid(data, record_name)
+        before = self.observe()
         try:
-            self.db.delete_record(record_name, self.rid(data, record_name),
-                                  all_members=all_members)
+            self.db.delete_record(record_name, rid, all_members=all_members)
         except MandatoryViolation:
-            pass  # refused: a non-empty MANDATORY occurrence
+            # Refused (a non-empty MANDATORY occurrence): no change.
+            assert self.observe() == before
 
 
 NetworkMachine.TestCase.settings = MACHINE_SETTINGS
@@ -376,7 +380,7 @@ class RelationalMachine(SavepointMachine):
                        for column, value in wanted.items())
             ]
             assert rows == [row for _position, row in positions]
-            assert sorted(positions, key=lambda hit: hit[0]) == scanned
+            assert positions == scanned
 
 
 RelationalMachine.TestCase.settings = MACHINE_SETTINGS

@@ -194,6 +194,39 @@ def test_sse_format_is_byte_stable():
     assert one == b'id: 7\nevent: program\ndata: {"a":2,"b":1}\n\n'
 
 
+def test_a_follower_always_receives_the_terminal_event(tmp_path):
+    """The terminal state and its ``job`` event appear to a follower
+    together: one polling while the event is being appended waits for
+    it instead of ending the stream without it."""
+    job = jobs_mod.Job("job-000001", tmp_path, 0)
+    emit = job.emit
+    appending = threading.Event()
+    release = threading.Event()
+
+    def slow_emit(event, data):
+        if data.get("state") == jobs_mod.STATE_COMPLETED:
+            appending.set()
+            release.wait(timeout=30.0)
+        return emit(event, data)
+
+    job.emit = slow_emit
+    received = []
+    follower = threading.Thread(
+        target=lambda: received.extend(job.follow(poll=0.01)))
+    follower.start()
+    finisher = threading.Thread(target=job.set_state,
+                                args=(jobs_mod.STATE_COMPLETED,))
+    finisher.start()
+    assert appending.wait(timeout=30.0)
+    time.sleep(0.1)  # ten polls while the event is on its way
+    release.set()
+    finisher.join(timeout=30.0)
+    follower.join(timeout=30.0)
+    assert not finisher.is_alive() and not follower.is_alive()
+    assert [data["state"] for _, name, data in received if name == "job"] \
+        == [jobs_mod.STATE_COMPLETED]
+
+
 # -- submission validation --------------------------------------------
 
 
@@ -224,9 +257,11 @@ def test_validate_submission_rejects(mutate, message):
 
 
 def test_validate_submission_normalizes():
-    normalized = validate_submission(submission(2, inputs=["STORE"]))
+    normalized, programs = validate_submission(
+        submission(2, inputs=["STORE"]))
     assert normalized["program_names"] == ["REPORT0", "REPORT1"]
     assert normalized["inputs"] == ["STORE"]
+    assert programs == [parse_program(text) for text in corpus(2)]
 
 
 def test_pool_key_ignores_service_side_fields():
@@ -663,12 +698,13 @@ def test_manifest_naming_strategy_order_still_resumes(tmp_path):
     """A manifest spooled before 6.0.0 may name the retired
     ``strategy_order`` option: the job restores, resumes, and converts
     to the shell run's bytes."""
-    normalized = validate_submission(submission())
+    normalized, _programs = validate_submission(submission())
     normalized["options"] = {"strategy_order": "fixed"}
     job_dir = tmp_path / "spool" / "job-000001"
     job_dir.mkdir(parents=True)
+    # Version 1, the layout that embeds the submission in job.json.
     (job_dir / "job.json").write_text(json.dumps({
-        "version": jobs_mod.MANIFEST_VERSION, "id": "job-000001",
+        "version": 1, "id": "job-000001",
         "state": jobs_mod.STATE_QUEUED, "error": None, "done": 0,
         "total": 3, "counts": {}, "submission": normalized}))
     manager = JobManager(tmp_path / "spool")
@@ -682,6 +718,99 @@ def test_manifest_naming_strategy_order_still_resumes(tmp_path):
         assert job.checkpoint_path.read_bytes() == checkpoint_bytes
     finally:
         manager.stop()
+
+
+LOADER = """\
+PROGRAM LOADER (network / COMPANY-NAME).
+  STORE DIV (DIV-NAME='MACHINERY', DIV-LOC='DETROIT').
+  STORE EMP (EMP-NAME='SMITH', DEPT-NAME='SALES', AGE=51, DIV-NAME='MACHINERY').
+"""
+
+
+def count_parses(monkeypatch):
+    """Record every text a served job parses: through
+    ``repro.service.jobs`` (admission, restore) and ``repro.api``
+    (the loader, when a cascade is built)."""
+    parsed = []
+    original = jobs_mod.parse_program
+
+    def counting(text):
+        parsed.append(text)
+        return original(text)
+
+    monkeypatch.setattr(jobs_mod, "parse_program", counting)
+    monkeypatch.setattr(api, "parse_program", counting)
+    return parsed
+
+
+def test_a_served_job_parses_each_program_once(tmp_path, monkeypatch):
+    """Admission parses the N programs and the loader, the executor
+    converts those ASTs, and the finished job keeps neither them nor
+    the texts.  The loader is parsed once more only when the cascade
+    is built, not when a later job reuses it.  The submission is
+    spooled once, beside a manifest that holds only state."""
+    parsed = count_parses(monkeypatch)
+    manager = JobManager(tmp_path / "spool")
+    try:
+        job = manager.submit(submission(4, data=LOADER))
+        assert wait_terminal(job) == jobs_mod.STATE_COMPLETED
+        assert parsed == corpus(4) + [LOADER, LOADER]
+        assert (job.submission, job.programs) == (None, None)
+        del parsed[:]
+        again = manager.submit(submission(4, data=LOADER))
+        assert wait_terminal(again) == jobs_mod.STATE_COMPLETED
+        assert parsed == corpus(4) + [LOADER]
+    finally:
+        manager.stop()
+    manifest = json.loads(job.manifest_path.read_text())
+    assert manifest["version"] == jobs_mod.MANIFEST_VERSION
+    assert "submission" not in manifest
+    spooled = json.loads(job.submission_path.read_text())
+    assert spooled["programs"] == corpus(4)
+    assert spooled["data"] == LOADER
+
+
+def test_a_restored_job_parses_its_programs_from_the_spool(tmp_path,
+                                                           monkeypatch):
+    """A job parked by a stopped server is restored without its
+    submission in memory; resuming it parses the N programs from
+    ``submission.json`` and converts them to the shell run's bytes."""
+    gate = threading.Event()
+    entered = threading.Event()
+
+    def block(job, report):
+        entered.set()
+        gate.wait(timeout=30.0)
+
+    monkeypatch.setattr(jobs_mod, "_after_program", block)
+    spool = tmp_path / "spool"
+    first = JobManager(spool)
+    first.submit(submission(2))
+    assert entered.wait(timeout=30.0)
+    parked = first.submit(submission())
+    stopper = threading.Thread(target=first.stop)
+    stopper.start()
+    time.sleep(0.2)
+    gate.set()
+    stopper.join(timeout=60.0)
+    assert not stopper.is_alive()
+    assert parked.state == jobs_mod.STATE_INTERRUPTED
+
+    monkeypatch.setattr(jobs_mod, "_after_program", lambda j, r: None)
+    parsed = count_parses(monkeypatch)
+    second = JobManager(spool)
+    try:
+        job = second.jobs[parked.id]
+        assert (job.submission, job.programs) == (None, None)
+        second.resume_job(job.id)
+        assert wait_terminal(job) == jobs_mod.STATE_COMPLETED
+        assert parsed == corpus()
+        assert (job.submission, job.programs) == (None, None)
+        report_bytes, checkpoint_bytes = cli_reference_run(tmp_path)
+        assert job.report_path.read_bytes() == report_bytes
+        assert job.checkpoint_path.read_bytes() == checkpoint_bytes
+    finally:
+        second.stop()
 
 
 def test_stop_parks_queued_jobs_resumably(tmp_path, monkeypatch):
