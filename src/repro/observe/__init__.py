@@ -14,16 +14,12 @@ answers both questions:
   their plain attribute APIs and register themselves for reading.
 * :mod:`repro.observe.tracing` -- a context-var based :class:`Tracer`
   whose :func:`span` context manager produces a tree of timed spans,
-  each closing with a registry snapshot and delta.  When no tracer is
-  active every ``span(...)`` call is a shared null context manager, so
+  each closing with its registry delta.  When no tracer is active
+  every ``span(...)`` call is a shared null context manager, so
   instrumented code pays one context-var read when tracing is off.
 * :mod:`repro.observe.export` -- Chrome ``chrome://tracing`` event
   export (plus a native tree form in the same file), round-trip
   loading, and the per-phase/per-operator profile table.
-* :mod:`repro.observe.stream` -- :class:`StreamingTracer`, the
-  span-to-event bridge behind the conversion service's server-sent
-  progress stream: every closed span is handed to a callback while
-  the traced activity is still running.
 """
 
 from repro.observe.export import (
@@ -47,11 +43,6 @@ from repro.observe.registry import (
     named_counters,
     registry_delta,
 )
-from repro.observe.stream import (
-    EVENT_COUNTER_PREFIXES,
-    StreamingTracer,
-    span_event,
-)
 from repro.observe.tracing import (
     NULL_SPAN,
     Span,
@@ -62,16 +53,13 @@ from repro.observe.tracing import (
 )
 
 __all__ = [
-    "EVENT_COUNTER_PREFIXES",
     "MetricsRegistry",
     "NamedCounters",
     "NULL_SPAN",
     "WORKER_ROOT",
     "Span",
-    "StreamingTracer",
     "Tracer",
     "current_tracer",
-    "span_event",
     "get_registry",
     "load_trace",
     "merge_worker_trace",

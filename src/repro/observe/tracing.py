@@ -8,11 +8,11 @@ the module-level :func:`span` / :func:`sampled_span` helpers: when no
 tracer is active they return one shared null context manager, so the
 tracing-off cost is a single context-var read per instrumented site.
 
-Real spans close with a snapshot of the unified metrics registry and
-the non-zero delta over their lifetime, tying the paper's
-access-path-length counters to wall-clock phases; per-program-run hot
-spans opt out with ``capture_metrics=False`` so the two registry reads
-do not dominate the region they measure.
+Real spans close with the non-zero movement of the unified metrics
+registry over their lifetime, tying the paper's access-path-length
+counters to wall-clock phases; per-program-run hot spans opt out with
+``capture_metrics=False`` so the two registry reads do not dominate
+the region they measure.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ class Span:
     """One timed region: name, attributes, children, metrics movement.
 
     ``start``/``end`` are clock readings (``time.perf_counter`` unless
-    the tracer was given another clock); ``metrics`` is the registry
-    snapshot at close (non-zero entries only) and ``metrics_delta`` the
-    movement between open and close.
+    the tracer was given another clock); ``metrics_delta`` is the
+    registry's non-zero movement between open and close.
     """
 
     name: str
@@ -46,7 +45,6 @@ class Span:
     start: float = 0.0
     end: float | None = None
     children: list["Span"] = field(default_factory=list)
-    metrics: dict[str, int] = field(default_factory=dict)
     metrics_delta: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -77,8 +75,6 @@ class Span:
         }
         if self.attrs:
             out["attrs"] = dict(self.attrs)
-        if self.metrics:
-            out["metrics"] = dict(self.metrics)
         if self.metrics_delta:
             out["metrics_delta"] = dict(self.metrics_delta)
         if self.children:
@@ -87,14 +83,15 @@ class Span:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Span":
-        """Rebuild a span tree written by :meth:`to_dict`."""
+        """Rebuild a span tree written by :meth:`to_dict`.  A
+        ``metrics`` key, the registry snapshot that trace files written
+        before 9.0.0 carry, is ignored."""
         return cls(
             name=data["name"],
             attrs=dict(data.get("attrs", {})),
             start=data["start"],
             end=data.get("end"),
             children=[cls.from_dict(child) for child in data.get("children", ())],
-            metrics=dict(data.get("metrics", {})),
             metrics_delta=dict(data.get("metrics_delta", {})),
         )
 
@@ -201,7 +198,6 @@ class Tracer:
             opened.end = self._clock()
             if capture_metrics:
                 after = self._registry.snapshot()
-                opened.metrics = {k: v for k, v in after.items() if v}
                 opened.metrics_delta = registry_delta(before, after)
 
     def sampled_span(self, name: str, **attrs: Any) -> ContextManager[Any]:

@@ -27,9 +27,16 @@ from repro.programs import ast
 
 
 class ProgramSyntaxError(ReproError):
-    """The program text could not be parsed."""
+    """The program text could not be parsed.
+
+    ``line_no`` is the 1-based text line the parser was reading; every
+    error :func:`parse_program` raises carries one, and its message
+    starts ``line N:``.  :func:`parse_expression` raises untagged
+    errors.
+    """
 
     def __init__(self, message: str, line_no: int | None = None):
+        self.line_no = line_no
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
@@ -186,9 +193,9 @@ def _parse_ssas(text: str) -> tuple[ast.SsaSpec, ...]:
 # ---------------------------------------------------------------------------
 #
 # Each takes the statement without its period (``body``) and the text
-# after its first word (``rest``).  A malformed statement raises
-# ProgramSyntaxError, or fails on a missing regex match, which
-# ``_ProgramParser._block`` reports with the line number.
+# after its first word (``rest``).  A malformed statement raises an
+# untagged ProgramSyntaxError, or fails on a missing regex match;
+# ``_ProgramParser._block`` reports either with the line number.
 
 _ACCEPT_RE = re.compile(r"^(\S+) PROMPT '([^']*)'$")
 _READ_RE = re.compile(r"^READ (\S+) INTO (\S+)$")
@@ -501,6 +508,9 @@ class _ProgramParser:
         return line
 
     def parse(self) -> ast.Program:
+        if not self._lines:
+            end = len(self._text.splitlines()) + 1
+            raise ProgramSyntaxError("unexpected end of program text", end)
         header = self._next()
         match = _PROGRAM_RE.match(header)
         if match is None:
@@ -549,6 +559,10 @@ class _ProgramParser:
             self._pos = pos + 1
             try:
                 statements.append(self._statement(line))
+            except ProgramSyntaxError as error:
+                if error.line_no is not None:  # by a nested block or _end
+                    raise
+                raise ProgramSyntaxError(str(error), self._line_no(pos)) from None
             except ReproError:
                 raise
             except Exception as error:  # tokenizer edge cases -> syntax error
@@ -576,7 +590,8 @@ class _ProgramParser:
     def _end(self, marker: str) -> None:
         line = self._next()
         if line != marker:
-            raise ProgramSyntaxError(f"expected {marker}, got {line!r}")
+            message = f"expected {marker}, got {line!r}"
+            raise ProgramSyntaxError(message, self._line_no(self._pos - 1))
 
     def _if(self, condition_text: str) -> ast.If:
         condition = parse_expression(condition_text)

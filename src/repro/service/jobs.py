@@ -30,10 +30,12 @@ Execution routes through the public facade
 which is the byte-identity contract: a served job's checkpoint and
 report are the same bytes a ``repro convert`` run of the same
 artifacts produces.  Progress streams out as in-memory events (see
-:meth:`Job.follow`): per-program events from the batch layer's
-progress callback, span events from a
-:class:`~repro.observe.stream.StreamingTracer`, and a final counter
-delta of the ``supervision.*`` / ``cost.*`` registries.
+:meth:`Job.follow`): a ``job`` event per state transition, one
+``program`` event per settled program from the batch layer's progress
+callback, and, when the job completes, one ``counters`` event with its
+``supervision.*`` / ``cost.*`` registry delta (empty when nothing
+moved) -- the same narration at any ``jobs`` count.  A job runs with
+no tracer, so its conversion records no spans.
 
 Shutdown is cooperative: :meth:`JobManager.stop` sets a flag the
 running job's progress callback checks after every settled program,
@@ -62,11 +64,6 @@ from repro.core.report import ConversionReport
 from repro.errors import ReproError
 from repro.jsonio import write_json_atomic
 from repro.observe.registry import get_registry, registry_delta
-from repro.observe.stream import (
-    EVENT_COUNTER_PREFIXES,
-    StreamingTracer,
-    span_event,
-)
 from repro.options import ConversionOptions
 from repro.parallel import ParallelExecutionError, WorkerPool
 from repro.programs.ast import Program
@@ -88,6 +85,12 @@ STATE_INTERRUPTED = "interrupted"
 #: States a job never leaves on its own; only a resume resubmission
 #: moves ``interrupted`` / ``failed`` back to ``queued``.
 TERMINAL_STATES = (STATE_COMPLETED, STATE_FAILED, STATE_INTERRUPTED)
+
+#: Counter namespaces a job's final ``counters`` event carries: the
+#: self-healing supervision counters and the cascade's
+#: ``cost.rewrite_skips``, the two bundles a service's clients act on
+#: (respawn storms, quarantine decisions, rewrite-skip rates).
+EVENT_COUNTER_PREFIXES = ("supervision.", "cost.")
 
 #: Option fields a submission's ``"options"`` object may set, with the
 #: accepted JSON types.  Everything else about a conversion (journal
@@ -192,9 +195,14 @@ def validate_submission(payload: Any) -> tuple[dict[str, Any], list[Program]]:
 class Job:
     """One submitted batch conversion and its event stream.
 
-    State, progress counters, and the bounded-memory event buffer all
-    live behind one condition variable; SSE followers block on it in
-    :meth:`follow` and are woken by every :meth:`emit`.
+    State, progress counters, and the event buffer all live behind one
+    condition variable; SSE followers block on it in :meth:`follow`
+    and are woken by every :meth:`emit`.  The buffer is not bounded:
+    ``events`` keeps every event of the job for the life of the
+    process, so a follower can replay from any ``Last-Event-ID``.  A
+    job that completes in one run holds three ``job`` transitions, one
+    ``program`` event per program and one ``counters`` event: 29 for
+    a 25-program job.
 
     ``submission`` and ``programs`` hold the validated submission and
     its parsed programs from admission until the job reaches a
@@ -627,10 +635,7 @@ class JobManager:
     def _options_for(self, job: Job) -> ConversionOptions:
         submitted = job.submission.get("options", {})
         terminal = list(job.submission.get("inputs", []))
-        rules = job.submission.get("rules")
         return ConversionOptions(
-            rule_catalog=None if rules is None
-            else api.load_rule_catalog(rules),
             checkpoint=str(job.checkpoint_path),
             resume=job.resume,
             report_json=str(job.report_path),
@@ -670,26 +675,29 @@ class JobManager:
             self._pool = (key, pool)
         return pool
 
-    def _cascade_for(self, job: Job, options: ConversionOptions) -> Any:
+    def _cascade_for(self, job: Job) -> Any:
         """The shared cascade, cache-of-one keyed like the warm pool.
 
         Building a cascade replays the DDL parse, the loader program,
-        and the restructuring -- the dominant per-job cost for a
-        stream of jobs over one application system.  Probes roll every
-        mutation back inside savepoints, so a reused cascade's probe
-        databases are byte-identical to freshly built ones, and the
-        cascade keeps no per-batch state that reaches report or
-        checkpoint bytes."""
+        the rule catalog and the restructuring -- the dominant per-job
+        cost for a stream of jobs over one application system.  The
+        catalog is read only here: the cascade (and a warm pool's
+        seed) holds it compiled.  Probes roll every mutation back
+        inside savepoints, so a reused cascade's probe databases are
+        byte-identical to freshly built ones, and the cascade keeps no
+        per-batch state that reaches report or checkpoint bytes."""
         submission = job.submission
         key = pool_key(submission)
         with self._lock:
             if self._cascade is not None and self._cascade[0] == key:
                 return self._cascade[1]
+        rules = submission.get("rules")
+        catalog = None if rules is None else api.load_rule_catalog(rules)
         cascade = api.build_cascade(
             submission["ddl"],
             submission["spec"],
             data=submission.get("data"),
-            options=options,
+            options=ConversionOptions(rule_catalog=catalog),
         )
         with self._lock:
             self._cascade = (key, cascade)
@@ -704,7 +712,7 @@ class JobManager:
                 job.load_submission()
             programs = job.programs
             options = self._options_for(job)
-            cascade = self._cascade_for(job, options)
+            cascade = self._cascade_for(job)
             pool = self._pool_for(job, cascade, options, len(programs))
             # After the cache lookups: evicting a cached cascade drops
             # its counters from the registry, which must not cancel
@@ -726,18 +734,13 @@ class JobManager:
                     # in-flight chunks and merge shards on the way out).
                     raise KeyboardInterrupt("service shutdown")
 
-            tracer = StreamingTracer(
-                lambda span: job.emit("span", span_event(span)),
-                prefixes=("batch.",),
+            batch = api.convert_batch(
+                cascade,
+                programs,
+                options,
+                pool=pool,
+                progress=progress,
             )
-            with tracer:
-                batch = api.convert_batch(
-                    cascade,
-                    programs,
-                    options,
-                    pool=pool,
-                    progress=progress,
-                )
         except KeyboardInterrupt:
             error = (
                 "interrupted by service shutdown; checkpoint is resumable "
@@ -755,12 +758,11 @@ class JobManager:
             counters = {
                 name: value
                 for name, value in delta.items()
-                if name.startswith(EVENT_COUNTER_PREFIXES) and value
+                if name.startswith(EVENT_COUNTER_PREFIXES)
             }
             with job.cond:
                 job.counts = batch.counts()
-            if counters:
-                job.emit("counters", {"job": job.id, "counters": counters})
+            job.emit("counters", {"job": job.id, "counters": counters})
             job.set_state(STATE_COMPLETED)
         finally:
             job.persist()

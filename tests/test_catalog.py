@@ -33,6 +33,7 @@ from repro.programs import ast
 from repro.programs.interpreter import ProgramInputs
 from repro.schema.diff import FieldAdded
 from repro.service.jobs import (
+    STATE_COMPLETED,
     JobManager,
     SubmissionError,
     pool_key,
@@ -445,19 +446,73 @@ def test_pool_key_covers_the_rules_field():
 
 
 def test_cascade_cache_reuses_by_key_and_splits_on_rules(tmp_path):
+    """The cascade depends on the submission alone: a job's ``rules``
+    reach the cascade it builds, compiled, and a reused cascade keeps
+    the catalog it was built with."""
     manager = JobManager(tmp_path / "spool")
     try:
-        options = ConversionOptions()
         job = SimpleNamespace(submission=_submission())
-        first = manager._cascade_for(job, options)
-        second = manager._cascade_for(job, options)
-        assert second is first
+        first = manager._cascade_for(job)
+        assert manager._cascade_for(job) is first
+        assert first.rule_catalog is None
         rules = (EXAMPLES / "store-default.rules").read_text()
         spec_job = SimpleNamespace(
             submission=_submission(spec=GRADE_SPEC, rules=rules))
-        rebuilt = manager._cascade_for(
-            spec_job,
-            ConversionOptions(rule_catalog=api.load_rule_catalog(rules)))
+        rebuilt = manager._cascade_for(spec_job)
         assert rebuilt is not first
+        assert rebuilt.rule_catalog is not None
+        assert manager._cascade_for(spec_job) is rebuilt
     finally:
         manager.stop()
+
+
+def test_a_served_job_loads_its_rules_once_per_cascade(tmp_path,
+                                                       monkeypatch):
+    """Admission loads a submission's catalog to validate it, and the
+    job loads it again only to build its cascade: a second identical
+    job reuses the cascade and loads it once.  The served artifacts
+    are the bytes of ``repro convert --rules``."""
+    from repro.cli import main
+
+    loads = []
+    load = api.load_rule_catalog
+
+    def counting(source):
+        loads.append(source)
+        return load(source)
+
+    monkeypatch.setattr(api, "load_rule_catalog", counting)
+    rules = (EXAMPLES / "store-default.rules").read_text()
+    payload = _submission(spec=GRADE_SPEC, rules=rules)
+    manager = JobManager(tmp_path / "spool")
+    try:
+        jobs = []
+        for expected in (2, 1):
+            del loads[:]
+            job = manager.submit(payload)
+            with job.cond:
+                job.cond.wait_for(lambda: job.terminal, timeout=60.0)
+            assert job.state == STATE_COMPLETED
+            assert loads == [rules] * expected
+            jobs.append(job)
+    finally:
+        manager.stop()
+
+    ddl = tmp_path / "company.ddl"
+    ddl.write_text(FIGURE_4_3_DDL)
+    spec = tmp_path / "grade.spec"
+    spec.write_text(GRADE_SPEC)
+    program = tmp_path / "store.cob"
+    program.write_text(STORE_PROGRAM)
+    checkpoint = tmp_path / "cli-checkpoint.json"
+    report = tmp_path / "cli-report.json"
+    code = main(["convert", "--ddl", str(ddl), "--spec", str(spec),
+                 "--program", str(program),
+                 "--rules", str(EXAMPLES / "store-default.rules"),
+                 "--checkpoint", str(checkpoint),
+                 "--report-json", str(report)])
+    assert code == 0
+    assert b"GRADE=1" in report.read_bytes()
+    for job in jobs:
+        assert job.report_path.read_bytes() == report.read_bytes()
+        assert job.checkpoint_path.read_bytes() == checkpoint.read_bytes()

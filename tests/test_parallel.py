@@ -491,7 +491,6 @@ class TestPerProgramSnapshots:
                  if node.name == "cascade.convert"]
         assert len(spans) == len(programs)
         for node in spans:
-            assert node.metrics
             assert any(name.startswith("engine.")
                        for name in node.metrics_delta), node.attrs
 

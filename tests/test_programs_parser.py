@@ -166,6 +166,29 @@ class TestStatementParsing:
                 "PROGRAM T (network / S).\n  IF (A = 1)\n    GET EMP.\n"
             )
 
+    # Each body follows the header on line 1 and a DISPLAY on line 2;
+    # the blank line 3 checks that text lines, not statements, count.
+    @pytest.mark.parametrize("body, line, fragment", [
+        ("  FROBNICATE X.\n", 4, "unrecognized statement 'FROBNICATE X'"),
+        ("  GET EMP\n", 4, "missing period"),
+        ("  READ F.\n", 4, "malformed READ"),
+        ("  IF (A ?? 1)\n    GET EMP.\n  END-IF\n", 4,
+         "expected an operator"),
+        ("  PERFORM WHILE (A = 1)\n    IF (B = 1)\n      GET EMP.\n"
+         "  END-PERFORM\n", 7, "expected END-IF, got 'END-PERFORM'"),
+        ("  PERFORM WHILE (A = 1)\n    GET EMP.\n    (B = 1).\n"
+         "  END-PERFORM\n", 6, "unrecognized statement '(B = 1)'"),
+    ], ids=["unrecognized", "missing-period", "malformed-read",
+            "if-expression", "nested-end-if", "open-paren"])
+    def test_errors_name_their_line(self, body, line, fragment):
+        text = f"PROGRAM T (network / S).\n  DISPLAY 1.\n\n{body}"
+        with pytest.raises(ProgramSyntaxError) as caught:
+            parse_program(text)
+        assert caught.value.line_no == line
+        message = str(caught.value)
+        assert message.startswith(f"line {line}: "), message
+        assert fragment in message, message
+
 
 class TestCorpusRoundTrip:
     def test_entire_corpus_round_trips(self):

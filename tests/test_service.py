@@ -1,5 +1,5 @@
-"""Tests for the conversion service: progress callbacks, the span
-stream, the SSE wire format, the job manager, the HTTP surface, and
+"""Tests for the conversion service: progress callbacks, the SSE wire
+format, the job manager and its event stream, the HTTP surface, and
 the graceful-shutdown / resume byte-identity contract."""
 
 import json
@@ -8,14 +8,17 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from collections import Counter
 from functools import partial
 
 import pytest
 
 from repro import api
 from repro.cli import main
-from repro.observe.stream import StreamingTracer, span_event
+from repro.observe.registry import MetricsRegistry
 from repro.options import ConversionOptions
+from repro.parallel import WorkerPool
+from repro.programs.ast import render_program
 from repro.programs.interpreter import ProgramInputs
 from repro.programs.parser import parse_program
 from repro.service import jobs as jobs_mod
@@ -29,6 +32,7 @@ from repro.service.jobs import (
 from repro.service.server import ConversionService
 from repro.service.sse import format_event, parse_events
 from repro.workloads.company import FIGURE_4_3_DDL
+from repro.workloads.corpus import CorpusSpec, generate_corpus
 
 FIG44_SPEC = ("INTERPOSE DEPT (DEPT-NAME) ON DIV-EMP "
               "AS DIV-DEPT, DEPT-EMP.\n")
@@ -142,35 +146,6 @@ def test_progress_interrupt_is_resumable(tmp_path):
         progress=lambda r, d, t, res: second.append((r.program_name, res)))
     assert second == [("REPORT0", True), ("REPORT1", False),
                       ("REPORT2", False)]
-
-
-# -- the span stream ---------------------------------------------------
-
-
-def test_streaming_tracer_reports_closed_spans():
-    seen = []
-    tracer = StreamingTracer(seen.append, prefixes=("batch.",))
-    with tracer:
-        with tracer.span("batch.program", program="P1"):
-            with tracer.span("other.inner"):
-                pass
-    assert [span.name for span in seen] == ["batch.program"]
-    span = seen[0]
-    assert span.end is not None
-    event = span_event(span)
-    assert event["name"] == "batch.program"
-    assert event["program"] == "P1"
-    assert event["seconds"] >= 0
-
-
-def test_streaming_tracer_reports_spans_closed_by_exception():
-    seen = []
-    tracer = StreamingTracer(seen.append)
-    with pytest.raises(RuntimeError):
-        with tracer, tracer.span("batch.program"):
-            raise RuntimeError("boom")
-    assert [span.name for span in seen] == ["batch.program"]
-    assert seen[0].end is not None
 
 
 # -- the SSE wire format ----------------------------------------------
@@ -442,9 +417,6 @@ def test_every_job_emits_its_own_counters(tmp_path):
     """A job's ``counters`` event is its own registry movement, also
     when the job evicts the cached cascade (other ``inputs``) and when
     its worker pool's deltas arrive from other processes."""
-    from repro.programs.ast import render_program
-    from repro.workloads.corpus import CorpusSpec, generate_corpus
-
     programs = [render_program(item.program) for item in generate_corpus(
         CorpusSpec(seed=1979, size=8, pathology_rate=0.75))]
     manager = JobManager(tmp_path / "spool")
@@ -466,6 +438,77 @@ def test_every_job_emits_its_own_counters(tmp_path):
         assert emitted[2] == emitted[0]
     finally:
         manager.stop()
+
+
+def e2_submission(size, options):
+    """A job of the E2 corpus shape (seeded, 25% pathology, ``STORE``
+    input)."""
+    programs = [render_program(item.program) for item in generate_corpus(
+        CorpusSpec(seed=1979, size=size, pathology_rate=0.25))]
+    return {"ddl": FIGURE_4_3_DDL, "spec": FIG44_SPEC, "programs": programs,
+            "inputs": ["STORE"], "options": options}
+
+
+def test_a_served_job_reads_the_registry_twice(tmp_path, monkeypatch):
+    """A served job runs with no tracer: building its cascade and
+    converting 25 programs record no spans, and its only registry
+    reads are the pair its ``counters`` event is the delta of."""
+    calls = []
+    snapshot = MetricsRegistry.snapshot
+
+    def counting(registry):
+        calls.append(registry)
+        return snapshot(registry)
+
+    monkeypatch.setattr(MetricsRegistry, "snapshot", counting)
+    manager = JobManager(tmp_path / "spool")
+    try:
+        job = manager.submit(e2_submission(25, {"jobs": 1}))
+        assert wait_terminal(job) == jobs_mod.STATE_COMPLETED
+    finally:
+        manager.stop()
+    assert len(calls) == 2
+
+
+def test_serial_and_pool_jobs_stream_the_same_events(tmp_path):
+    """The stream does not depend on ``jobs``: three ``job``
+    transitions, one ``program`` event per program and the
+    ``counters`` event, whether the job converts in-process or on the
+    worker pool."""
+    manager = JobManager(tmp_path / "spool")
+    try:
+        kinds = []
+        for options in ({"jobs": 1}, {"jobs": 2, "parallel_threshold": 1}):
+            job = manager.submit(e2_submission(25, options))
+            assert wait_terminal(job) == jobs_mod.STATE_COMPLETED
+            kinds.append(Counter(name for _, name, _ in job.events))
+    finally:
+        manager.stop()
+    assert kinds[0] == {"job": 3, "program": 25, "counters": 1}
+    assert kinds[1] == kinds[0]
+
+
+def test_a_served_pool_job_begins_its_workers_untraced(tmp_path,
+                                                        monkeypatch):
+    """With no tracer active, the pool's ``begin`` message turns
+    tracing off in every worker, so they ship no span trees back."""
+    sent = []
+    send = WorkerPool.send
+
+    def spying(pool, worker_id, message):
+        sent.append(message)
+        send(pool, worker_id, message)
+
+    monkeypatch.setattr(WorkerPool, "send", spying)
+    manager = JobManager(tmp_path / "spool")
+    try:
+        job = manager.submit(
+            e2_submission(4, {"jobs": 2, "parallel_threshold": 1}))
+        assert wait_terminal(job) == jobs_mod.STATE_COMPLETED
+    finally:
+        manager.stop()
+    begins = [message for message in sent if message[0] == "begin"]
+    assert [message[3] for message in begins] == [False, False]
 
 
 def test_resume_rejects_running_or_completed(tmp_path):
@@ -528,13 +571,16 @@ def test_http_end_to_end(service, tmp_path):
         assert response.headers["Content-Type"] == "text/event-stream"
         events = list(parse_events(response))
 
-    # At least one event per program, and a terminal job event.
+    # One event per program between the job's transitions, and the
+    # counter delta, empty here: no rewrite was skipped.
     programs = [data["program"] for name, data in events
                 if name == "program"]
     assert programs == ["REPORT0", "REPORT1", "REPORT2"]
     assert events[-1][0] == "job"
     assert events[-1][1]["state"] == "completed"
-    assert any(name == "span" for name, _ in events)
+    assert Counter(name for name, _ in events) == \
+        {"job": 3, "program": 3, "counters": 1}
+    assert events[-2] == ("counters", {"job": job["id"], "counters": {}})
 
     status, snap = get_json(service, job["links"]["self"])
     assert snap["state"] == "completed"
