@@ -53,7 +53,7 @@ from repro.errors import (
 from repro.options import ConversionOptions
 from repro.parallel import ParallelExecutionError, ParallelExecutor, WorkerPool
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 __all__ = [
     # -- facade (repro.api) -------------------------------------------

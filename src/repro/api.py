@@ -204,7 +204,7 @@ def convert_batch(
     :data:`repro.batch.ProgressCallback` -- and is how the conversion
     service streams per-program server-sent events.  With
     ``options.report_json`` the final batch summary is also written
-    atomically to that path (the service's report artifact).
+    atomically to that path (``repro convert --report-json``).
     """
     batch = ParallelExecutor(
         cascade, programs, options, pool=pool, progress=progress

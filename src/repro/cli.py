@@ -433,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--report-json",
                      help="batch mode: write the batch-report summary "
                           "JSON here (atomic write; byte-identical to "
-                          "the conversion service's report artifact "
-                          "for the same inputs)")
+                          "a served job's report for the same inputs)")
     sub.add_argument("--out-dir",
                      help="batch mode: write converted programs here, "
                           "one <name>.cob each")
@@ -493,9 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
                "2 usage error; 4 the listener or spool could not be "
                "set up")
     sub.add_argument("--spool", required=True,
-                     help="directory for job manifests, checkpoints, "
-                          "and report artifacts (created if missing; "
-                          "jobs found in it on startup are reloaded)")
+                     help="directory for job submissions, manifests "
+                          "and checkpoints (created if missing; jobs "
+                          "found in it on startup are reloaded)")
     sub.add_argument("--host", default="127.0.0.1",
                      help="bind address (default: 127.0.0.1)")
     sub.add_argument("--port", type=int, default=8979,

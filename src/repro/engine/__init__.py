@@ -11,7 +11,7 @@ on identical terms.
 from repro.engine.metrics import Metrics, MetricsScope
 from repro.engine.savepoint import Savepoint, fingerprint
 from repro.engine.storage import Record, RecordStore
-from repro.engine.index import HashIndex, SortedIndex
+from repro.engine.index import HashIndex
 
 __all__ = [
     "Metrics",
@@ -19,7 +19,6 @@ __all__ = [
     "Record",
     "RecordStore",
     "HashIndex",
-    "SortedIndex",
     "Savepoint",
     "fingerprint",
 ]

@@ -88,11 +88,10 @@ class ConversionOptions:
     #: Path for the batch-report artifact: the final
     #: :class:`~repro.core.report.BatchReport` summary written
     #: atomically (:func:`repro.jsonio.write_json_atomic`) when the
-    #: batch completes.  The conversion service serves this file as a
-    #: job's report artifact, and ``repro convert --report-json``
-    #: writes the identical bytes -- the byte-compare contract between
-    #: served and shell-run batches rests on both sides routing
-    #: through this one option.
+    #: batch completes; ``repro convert --report-json`` sets it.  The
+    #: conversion service writes no such file: it renders the same
+    #: bytes from a completed job's folded checkpoint, whose summaries
+    #: are the report's (:meth:`repro.service.jobs.Job.report_bytes`).
     report_json: str | Path | None = None
     #: Deterministic fault plan armed per program unit (robustness
     #: testing; see :mod:`repro.faultinject`).

@@ -6,11 +6,11 @@ terminal inputs, plus a bag of conversion options -- exactly the
 artifacts ``repro convert`` takes on the shell, normalized by
 :func:`validate_submission`.  The :class:`JobManager` owns a bounded
 queue of jobs, one executor thread draining it, and a *spool*
-directory in which every job keeps its submission
+directory in which every job keeps three files: its submission
 (``submission.json``, written once at admission), its state manifest
-(``job.json``), its batch checkpoint (``checkpoint.json``, the same
-journal the CLI writes), and its report artifact (``report.json``).
-The submission, manifest and report are written through
+(``job.json``, written at each state transition) and its batch
+checkpoint (``checkpoint.json``, the same journal the CLI writes).
+The submission and manifest are written through
 :func:`repro.jsonio.write_json_atomic`; the checkpoint is the batch
 layer's journal: while the job runs, settled programs are appended to
 ``checkpoint.json.log`` (and to ``checkpoint.json.shard<k>`` by pool
@@ -19,9 +19,17 @@ interrupted.  A crash at any instant leaves parseable, resumable
 state, and ``GET /jobs/<id>/checkpoint`` serves the folded document
 even while only the logs exist (:meth:`Job.checkpoint_bytes`).
 
+The folded checkpoint holds every program's report summary in
+program order, so it is also the job's report: ``GET
+/jobs/<id>/report`` renders a completed job's summaries in
+:meth:`~repro.core.report.BatchReport.to_summary`'s shape
+(:meth:`Job.report_bytes`), and a restarted server narrates a
+completed job from them without parsing a program.
+
 Admission parses every program and the loader, and the executor
-converts those parsed programs; a job holds its submission and parsed
-programs only until it ends.  A job restored from the spool, or
+converts those parsed programs.  A waiting job holds its parsed
+programs but not their texts, which only ``submission.json`` keeps,
+and an ended job holds neither.  A job restored from the spool, or
 resumed, reads ``submission.json`` and parses its programs again.
 The loader is parsed again only when the cascade is built.
 
@@ -59,13 +67,13 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro import api
-from repro.batch import BatchCheckpoint
+from repro.batch import BatchCheckpoint, CheckpointError
 from repro.core.report import ConversionReport
 from repro.errors import ReproError
-from repro.jsonio import write_json_atomic
+from repro.jsonio import render_json, write_json_atomic
 from repro.observe.registry import get_registry, registry_delta
 from repro.options import ConversionOptions
-from repro.parallel import ParallelExecutionError, WorkerPool
+from repro.parallel import WorkerPool
 from repro.programs.ast import Program
 from repro.programs.interpreter import ProgramInputs
 from repro.programs.parser import parse_program
@@ -204,11 +212,13 @@ class Job:
     ``program`` event per program and one ``counters`` event: 29 for
     a 25-program job.
 
-    ``submission`` and ``programs`` hold the validated submission and
-    its parsed programs from admission until the job reaches a
+    ``programs`` holds the parsed programs and ``submission`` the
+    validated submission without its program texts, which only
+    ``submission.json`` keeps, from admission until the job reaches a
     terminal state, which drops them; :meth:`load_submission` reads
     the submission back from the spool and parses its programs
-    again.
+    again.  Every state change goes through :meth:`set_state`, which
+    narrates it and writes the manifest.
     """
 
     def __init__(
@@ -245,10 +255,6 @@ class Job:
     def checkpoint_path(self) -> Path:
         return self.dir / "checkpoint.json"
 
-    @property
-    def report_path(self) -> Path:
-        return self.dir / "report.json"
-
     def checkpoint_bytes(self) -> bytes | None:
         """The checkpoint as the batch's fold writes it, or ``None``
         before the first program settles.  A running job -- or one
@@ -257,6 +263,25 @@ class Job:
         nothing."""
         return BatchCheckpoint(self.checkpoint_path).render()
 
+    def reports(self) -> list[dict[str, Any]] | None:
+        """A completed job's report summaries, in program order, read
+        from its folded checkpoint; ``None`` in any other state.
+        Raises :class:`~repro.batch.CheckpointError` when the
+        checkpoint cannot be read."""
+        if self.state != STATE_COMPLETED:
+            return None
+        return BatchCheckpoint(self.checkpoint_path).load()["completed"]
+
+    def report_bytes(self) -> bytes | None:
+        """The report artifact: :meth:`reports` in
+        :meth:`~repro.core.report.BatchReport.to_summary`'s shape, the
+        bytes ``repro convert --report-json`` writes for the same
+        batch, or ``None`` before the job completes."""
+        reports = self.reports()
+        if reports is None:
+            return None
+        return render_json({"reports": reports}).encode("utf-8")
+
     # -- state ---------------------------------------------------------
 
     @property
@@ -264,16 +289,24 @@ class Job:
         return self.state in TERMINAL_STATES
 
     def set_state(self, state: str, error: str | None = None) -> None:
-        """Transition and narrate: every state change is also a
-        ``job`` event on the stream, appended under the same lock, so
-        a follower never sees a terminal state without its event.  A
-        terminal state drops the submission and the parsed programs."""
+        """Transition, narrate and persist: every state change is also
+        a ``job`` event on the stream, appended under the same lock, so
+        a follower never sees a terminal state without its event; the
+        manifest is written once the lock is released.  Entering
+        ``queued`` starts a run: progress, counts and the event buffer
+        start over.  A terminal state drops the submission and the
+        parsed programs."""
         with self.cond:
+            if state == STATE_QUEUED:
+                self.done = 0
+                self.counts = {}
+                self.events = []
             self.state = state
             self.error = error
             if self.terminal:
                 self.submission = self.programs = None
             self.emit("job", self._job_event())
+        self.persist()
 
     def _job_event(self) -> dict[str, Any]:
         data: dict[str, Any] = {
@@ -297,28 +330,31 @@ class Job:
 
     def record_program(
         self,
-        report: ConversionReport,
+        program: str,
+        status: str,
+        strategy: str | None,
+        failure: str | None,
         done: int,
         total: int,
         resumed: bool,
     ) -> None:
-        """The batch layer's progress callback target: one ``program``
-        event per settled program."""
+        """One ``program`` event per settled program, narrating its
+        report's (or report summary's) outcome."""
         with self.cond:
             self.done = done
             self.total = total
         data: dict[str, Any] = {
             "job": self.id,
-            "program": report.program_name,
-            "status": report.status,
-            "strategy": report.strategy,
+            "program": program,
+            "status": status,
+            "strategy": strategy,
             "done": done,
             "total": total,
         }
         if resumed:
             data["resumed"] = True
-        if report.failure:
-            data["failure"] = report.failure
+        if failure:
+            data["failure"] = failure
         self.emit("program", data)
 
     def follow(
@@ -383,9 +419,10 @@ class Job:
 
     def load_submission(self) -> None:
         """Read the submission back from the spool and parse its
-        programs."""
+        programs, keeping the parsed programs and not their texts."""
         submission = json.loads(self.submission_path.read_text())
-        self.programs = [parse_program(text) for text in submission["programs"]]
+        texts = submission.pop("programs")
+        self.programs = [parse_program(text) for text in texts]
         self.submission = submission
 
     @classmethod
@@ -481,9 +518,10 @@ class JobManager:
 
         Jobs that were queued or running when that process died are
         marked ``interrupted`` -- their checkpoints (if any) are
-        resumable.  Terminal jobs get their event buffers rebuilt from
-        the report artifact so an SSE replay still narrates every
-        program."""
+        resumable -- and their manifests rewritten directly, not
+        through :meth:`Job.set_state`: the restore is no transition to
+        narrate.  Every job's event buffer is then rebuilt
+        (:meth:`_replay`)."""
         for manifest in sorted(self.spool.glob("job-*/job.json")):
             try:
                 job = Job.restore(manifest)
@@ -495,32 +533,39 @@ class JobManager:
                 )
                 continue
             if job.state in (STATE_QUEUED, STATE_RUNNING):
-                phase = "queued" if job.done == 0 else "running"
-                job.state = STATE_INTERRUPTED
                 job.error = (
-                    f"server stopped while the job was {phase}; resubmit "
+                    f"server stopped while the job was {job.state}; resubmit "
                     f'with {{"resume": "{job.id}"}}'
                 )
+                job.state = STATE_INTERRUPTED
                 job.persist()
-            self._replay_from_report(job)
+            self._replay(job)
             self.jobs[job.id] = job
             suffix = job.id.rpartition("-")[2]
             if suffix.isdigit():
                 self._counter = max(self._counter, int(suffix))
 
-    def _replay_from_report(self, job: Job) -> None:
-        if not job.report_path.exists():
-            job.events.append((0, "job", job._job_event()))
-            return
+    def _replay(self, job: Job) -> None:
+        """A completed job narrates one ``program`` event per report
+        summary in its folded checkpoint, parsing no program; then
+        every job replays one ``job`` event in its state.  A job whose
+        checkpoint cannot be read replays the ``job`` event alone."""
         try:
-            summary = json.loads(job.report_path.read_text())
-        except (OSError, ValueError):
-            return
-        reports = summary.get("reports", ())
-        for index, entry in enumerate(reports, start=1):
-            report = ConversionReport.from_summary(entry)
-            job.record_program(report, index, job.total, resumed=False)
-        job.events.append((len(job.events), "job", job._job_event()))
+            reports = job.reports() or []
+        except CheckpointError as exc:
+            log.warning("service: %s replays no programs: %s", job.id, exc)
+            reports = []
+        for done, entry in enumerate(reports, start=1):
+            job.record_program(
+                entry["program"],
+                entry["status"],
+                entry["strategy"],
+                entry["failure"],
+                done,
+                job.total,
+                resumed=False,
+            )
+        job.emit("job", job._job_event())
 
     # -- submission ----------------------------------------------------
 
@@ -544,17 +589,18 @@ class JobManager:
             with self._lock:
                 job_id = self._next_id()
                 job = Job(job_id, self.spool / job_id, len(programs))
-                job.submission = submission
                 job.programs = programs
                 self.jobs[job_id] = job
             # The submission first: every manifest has its submission.
             write_json_atomic(submission, job.submission_path)
+            # From here on the program texts live in the spool alone.
+            del submission["programs"]
+            job.submission = submission
             # Persist and emit *before* enqueueing: once the executor can
             # see the job it may persist concurrently, and two writers
             # racing one manifest path is exactly what atomic writes of a
             # shared temp name cannot survive.
-            job.persist()
-            job.emit("job", job._job_event())
+            job.set_state(STATE_QUEUED)
             self.queue.put_nowait(job)
         return job
 
@@ -578,14 +624,8 @@ class JobManager:
                 # leaves its state, events and manifest as they were.
                 if self.queue.full():
                     raise self._queue_full_error()
-                job.state = STATE_QUEUED
-                job.error = None
                 job.resume = True
-                job.done = 0
-                job.counts = {}
-                job.events = []
-            job.persist()
-            job.emit("job", job._job_event())
+            job.set_state(STATE_QUEUED)
             self.queue.put_nowait(job)
         return job
 
@@ -622,7 +662,6 @@ class JobManager:
             except Exception:  # pragma: no cover - defensive
                 log.exception("service: executor crashed on %s", job.id)
                 job.set_state(STATE_FAILED, error="internal executor fault")
-                job.persist()
 
     def _park(self, job: Job) -> None:
         error = (
@@ -630,7 +669,6 @@ class JobManager:
             f'{{"resume": "{job.id}"}}'
         )
         job.set_state(STATE_INTERRUPTED, error=error)
-        job.persist()
 
     def _options_for(self, job: Job) -> ConversionOptions:
         submitted = job.submission.get("options", {})
@@ -638,7 +676,6 @@ class JobManager:
         return ConversionOptions(
             checkpoint=str(job.checkpoint_path),
             resume=job.resume,
-            report_json=str(job.report_path),
             inputs=ProgramInputs(terminal=terminal),
             jobs=submitted.get("jobs", 1),
             chunk_size=submitted.get("chunk_size"),
@@ -705,7 +742,6 @@ class JobManager:
 
     def _execute(self, job: Job) -> None:
         job.set_state(STATE_RUNNING)
-        job.persist()
         registry = get_registry()
         try:
             if job.submission is None:  # restored from the spool, or resumed
@@ -725,7 +761,15 @@ class JobManager:
                 total: int,
                 resumed: bool,
             ) -> None:
-                job.record_program(report, done, total, resumed)
+                job.record_program(
+                    report.program_name,
+                    report.status,
+                    report.strategy,
+                    report.failure,
+                    done,
+                    total,
+                    resumed,
+                )
                 _after_program(job, report)
                 if self._stop.is_set():
                     # Cooperative stop: the journal already holds this
@@ -747,8 +791,6 @@ class JobManager:
                 f'-- resubmit with {{"resume": "{job.id}"}}'
             )
             job.set_state(STATE_INTERRUPTED, error=error)
-        except ParallelExecutionError as exc:
-            job.set_state(STATE_FAILED, error=str(exc))
         except ReproError as exc:
             job.set_state(STATE_FAILED, error=str(exc))
         except Exception as exc:
@@ -764,8 +806,6 @@ class JobManager:
                 job.counts = batch.counts()
             job.emit("counters", {"job": job.id, "counters": counters})
             job.set_state(STATE_COMPLETED)
-        finally:
-            job.persist()
 
     # -- shutdown ------------------------------------------------------
 

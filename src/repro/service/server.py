@@ -17,8 +17,10 @@ GET       ``/jobs/<id>``           one job's snapshot
 GET       ``/jobs/<id>/events``    the job's server-sent-event stream:
                                    replay from ``Last-Event-ID`` (or 0),
                                    then live until the job is terminal
-GET       ``/jobs/<id>/report``    the report artifact -- byte-identical
-                                   to ``repro convert --report-json``
+GET       ``/jobs/<id>/report``    a completed job's reports, rendered
+                                   from its folded checkpoint --
+                                   byte-identical to ``repro convert
+                                   --report-json``
 GET       ``/jobs/<id>/checkpoint``  the batch journal (resumable),
                                    folded from its logs while the job
                                    runs
@@ -98,15 +100,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
     ) -> None:
         self._send_json(code, {"error": message}, headers=headers)
 
-    def _send_artifact(self, path: Path, missing: str) -> None:
-        """Serve a spool artifact verbatim -- the bytes on disk ARE the
-        contract (byte-identical to the CLI's), so no re-serialization."""
-        try:
-            body = path.read_bytes()
-        except OSError:
-            body = None
-        self._send_bytes(body, missing)
-
     def _send_bytes(self, body: bytes | None, missing: str) -> None:
         """A JSON artifact's bytes as they are, or ``404`` with
         ``missing`` when there is none yet."""
@@ -146,13 +139,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self._send_json(200, job.snapshot())
             elif tail == "events":
                 self._stream_events(job)
-            elif tail == "report":
-                missing = f"job {job.id} has no report yet (state: {job.state})"
-                self._send_artifact(job.report_path, missing)
-            elif tail == "checkpoint":
-                missing = f"job {job.id} has no checkpoint yet (state: {job.state})"
+            elif tail in ("report", "checkpoint"):
+                missing = f"job {job.id} has no {tail} yet (state: {job.state})"
+                render = job.report_bytes if tail == "report" else job.checkpoint_bytes
                 try:
-                    body = job.checkpoint_bytes()
+                    body = render()
                 except CheckpointError as exc:
                     self._send_error_json(500, str(exc))
                     return

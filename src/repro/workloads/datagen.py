@@ -60,8 +60,3 @@ class DataGen:
 
     def sample(self, options: Sequence[Any], count: int) -> list[Any]:
         return self._random.sample(list(options), count)
-
-    def shuffle(self, items: list[Any]) -> list[Any]:
-        out = list(items)
-        self._random.shuffle(out)
-        return out

@@ -514,5 +514,5 @@ def test_a_served_job_loads_its_rules_once_per_cascade(tmp_path,
     assert code == 0
     assert b"GRADE=1" in report.read_bytes()
     for job in jobs:
-        assert job.report_path.read_bytes() == report.read_bytes()
+        assert job.report_bytes() == report.read_bytes()
         assert job.checkpoint_path.read_bytes() == checkpoint.read_bytes()

@@ -1,8 +1,8 @@
-"""Unit tests for hash and sorted indexes."""
+"""Unit tests for the hash index."""
 
 import pytest
 
-from repro.engine import HashIndex, Metrics, SortedIndex
+from repro.engine import HashIndex, Metrics
 from repro.errors import DuplicateKey
 
 
@@ -51,63 +51,3 @@ class TestHashIndex:
         index.lookup("A")
         index.contains("B")
         assert metrics.index_probes == 2
-
-
-class TestSortedIndex:
-    def test_scan_in_key_order(self):
-        index = SortedIndex("t")
-        for key, rid in [("B", 1), ("A", 2), ("C", 3)]:
-            index.insert(key, rid)
-        assert list(index.scan()) == [2, 1, 3]
-
-    def test_equal_keys_keep_arrival_order(self):
-        index = SortedIndex("t")
-        index.insert("A", 10)
-        index.insert("A", 5)
-        index.insert("A", 7)
-        assert index.lookup("A") == [10, 5, 7]
-
-    def test_mixed_types_do_not_crash(self):
-        index = SortedIndex("t")
-        index.insert(None, 1)
-        index.insert(5, 2)
-        index.insert("Z", 3)
-        ordered = list(index.scan())
-        assert ordered[0] == 1  # None sorts first
-
-    def test_unique_rejects_duplicate_keys(self):
-        index = SortedIndex("t", unique=True)
-        index.insert("A", 1)
-        with pytest.raises(DuplicateKey):
-            index.insert("A", 2)
-
-    def test_remove_specific_rid(self):
-        index = SortedIndex("t")
-        index.insert("A", 1)
-        index.insert("A", 2)
-        index.remove("A", 1)
-        assert index.lookup("A") == [2]
-
-    def test_range_scan(self):
-        index = SortedIndex("t")
-        for value in (1, 3, 5, 7, 9):
-            index.insert(value, value)
-        assert list(index.range(3, 7)) == [3, 5, 7]
-        assert list(index.range(low=8)) == [9]
-        assert list(index.range(high=1)) == [1]
-
-    def test_first_and_position(self):
-        index = SortedIndex("t")
-        assert index.first() is None
-        index.insert("B", 1)
-        index.insert("A", 2)
-        assert index.first() == 2
-        assert index.position(1) == 1
-        assert index.position(99) is None
-
-    def test_composite_keys(self):
-        index = SortedIndex("t")
-        index.insert(("SALES", "ZED"), 1)
-        index.insert(("ENG", "ABLE"), 2)
-        index.insert(("SALES", "ABLE"), 3)
-        assert list(index.scan()) == [2, 3, 1]

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and the
 library's key invariants:
 
-* sorted-index ordering and membership under arbitrary operations;
+* a total order over mixed-type keys;
 * PIC type validation totality;
 * set-store occurrence invariants under random connect/disconnect;
 * snapshot extract/load round-trips;
@@ -16,8 +16,7 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import SortedIndex
-from repro.engine.index import _orderable
+from repro.engine.ordering import orderable
 from repro.errors import SchemaError
 from repro.network import NetworkDatabase
 from repro.restructure import (
@@ -34,43 +33,15 @@ small_ints = st.integers(min_value=0, max_value=99)
 
 
 # ---------------------------------------------------------------------------
-# Sorted index
+# Key ordering
 # ---------------------------------------------------------------------------
-
-
-@given(st.lists(st.tuples(small_ints, st.integers(1, 10**6)),
-                max_size=50))
-def test_sorted_index_scan_is_sorted(pairs):
-    index = SortedIndex("t")
-    for key, rid in pairs:
-        index.insert(key, rid)
-    keys = [key for key, _rid in index.scan_items()]
-    assert keys == sorted(keys)
-    assert len(index) == len(pairs)
-
-
-@given(st.lists(st.tuples(small_ints, st.integers(1, 100)), max_size=40),
-       st.data())
-def test_sorted_index_remove_keeps_order(pairs, data):
-    index = SortedIndex("t")
-    live = []
-    for key, rid in pairs:
-        index.insert(key, rid)
-        live.append((key, rid))
-    if live:
-        victim = data.draw(st.sampled_from(live))
-        index.remove(*victim)
-        live.remove(victim)
-    assert sorted(index.scan_items(), key=lambda p: _orderable(p[0])) == \
-        list(index.scan_items())
-    assert len(index) == len(live)
 
 
 @given(st.lists(st.one_of(small_ints, names, st.none()), max_size=30))
 def test_orderable_total_order_over_mixed_types(values):
-    ordered = sorted(values, key=_orderable)
+    ordered = sorted(values, key=orderable)
     # sorting twice is stable and consistent
-    assert sorted(ordered, key=_orderable) == ordered
+    assert sorted(ordered, key=orderable) == ordered
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ format, the job manager and its event stream, the HTTP surface, and
 the graceful-shutdown / resume byte-identity contract."""
 
 import json
+import shutil
 import sys
 import threading
 import time
@@ -15,6 +16,7 @@ import pytest
 
 from repro import api
 from repro.cli import main
+from repro.core import report as report_mod
 from repro.observe.registry import MetricsRegistry
 from repro.options import ConversionOptions
 from repro.parallel import WorkerPool
@@ -71,6 +73,28 @@ def wait_terminal(job, timeout=60.0):
                 f"job {job.id} still {job.state} after {timeout}s")
             job.cond.wait(timeout=0.2)
     return job.state
+
+
+#: A completed job's spool directory: no report file beside the
+#: checkpoint whose summaries are its report.
+SPOOL_FILES = ["checkpoint.json", "job.json", "submission.json"]
+
+
+def spooled(job):
+    return sorted(path.name for path in job.dir.iterdir())
+
+
+def spy_persist(monkeypatch):
+    """Record every manifest write as (job id, state, calling function)."""
+    writes = []
+    persist = jobs_mod.Job.persist
+
+    def spying(job):
+        writes.append((job.id, job.state, sys._getframe(1).f_code.co_name))
+        persist(job)
+
+    monkeypatch.setattr(jobs_mod.Job, "persist", spying)
+    return writes
 
 
 def cli_reference_run(tmp_path, size=3):
@@ -258,7 +282,7 @@ def test_job_manager_runs_job_to_byte_identical_artifacts(tmp_path):
         events = [name for _, name, _ in job.events]
         assert events.count("program") == 3
         report_bytes, checkpoint_bytes = cli_reference_run(tmp_path)
-        assert job.report_path.read_bytes() == report_bytes
+        assert job.report_bytes() == report_bytes
         assert job.checkpoint_path.read_bytes() == checkpoint_bytes
     finally:
         manager.stop()
@@ -599,6 +623,28 @@ def test_http_end_to_end(service, tmp_path):
     assert [entry["id"] for entry in listing["jobs"]] == [job["id"]]
 
 
+@pytest.mark.parametrize("options", [
+    {"jobs": 1}, {"jobs": 2, "parallel_threshold": 1}], ids=["serial", "pool"])
+def test_a_completed_job_spools_three_files_and_serves_the_cli_report(
+        tmp_path, options):
+    """The folded checkpoint is the job's report: the spool holds no
+    report file, and ``GET /report`` renders the CLI's bytes."""
+    service = ConversionService(tmp_path / "spool", port=0).start()
+    try:
+        _, snap = post_json(service, "/jobs", submission(options=options))
+        job = service.manager.jobs[snap["id"]]
+        assert wait_terminal(job) == jobs_mod.STATE_COMPLETED
+        served = get_bytes(service, snap["links"]["report"])
+    finally:
+        # Stopping joins the executor, whose manifest write follows
+        # the terminal event.
+        service.stop()
+    report_bytes, _checkpoint_bytes = cli_reference_run(tmp_path)
+    assert served == report_bytes
+    assert job.report_bytes() == report_bytes
+    assert spooled(job) == SPOOL_FILES
+
+
 def test_http_sse_replay_with_last_event_id(service):
     _, job = post_json(service, "/jobs", submission(2))
     with urllib.request.urlopen(
@@ -728,6 +774,13 @@ def test_shutdown_mid_batch_then_resume_is_byte_identical(
         recovered = [data for name, data in events
                      if name == "program" and data.get("resumed")]
         assert recovered  # journaled programs came back from the log
+        # The resumed run's stream starts over: each program once,
+        # under this run's transitions only.
+        assert sorted(data["program"] for name, data in events
+                      if name == "program") == ["REPORT0", "REPORT1",
+                                                "REPORT2"]
+        assert [data["state"] for name, data in events if name == "job"] \
+            == ["queued", "running", "completed"]
 
         _, final = get_json(restarted, f"/jobs/{job['id']}")
         assert final["state"] == "completed"
@@ -738,6 +791,9 @@ def test_shutdown_mid_batch_then_resume_is_byte_identical(
                          final["links"]["checkpoint"]) == checkpoint_bytes
     finally:
         restarted.stop()
+    resumed_job = restarted.manager.jobs[job["id"]]
+    assert resumed_job.report_bytes() == report_bytes
+    assert spooled(resumed_job) == SPOOL_FILES
 
 
 def test_manifest_naming_strategy_order_still_resumes(tmp_path):
@@ -760,7 +816,7 @@ def test_manifest_naming_strategy_order_still_resumes(tmp_path):
         manager.resume_job(job.id)
         assert wait_terminal(job) == jobs_mod.STATE_COMPLETED
         report_bytes, checkpoint_bytes = cli_reference_run(tmp_path)
-        assert job.report_path.read_bytes() == report_bytes
+        assert job.report_bytes() == report_bytes
         assert job.checkpoint_path.read_bytes() == checkpoint_bytes
     finally:
         manager.stop()
@@ -853,10 +909,183 @@ def test_a_restored_job_parses_its_programs_from_the_spool(tmp_path,
         assert parsed == corpus()
         assert (job.submission, job.programs) == (None, None)
         report_bytes, checkpoint_bytes = cli_reference_run(tmp_path)
-        assert job.report_path.read_bytes() == report_bytes
+        assert job.report_bytes() == report_bytes
         assert job.checkpoint_path.read_bytes() == checkpoint_bytes
     finally:
         second.stop()
+
+
+def test_a_waiting_job_holds_its_programs_and_no_texts(tmp_path,
+                                                       monkeypatch):
+    """Once ``submission.json`` is written, a job keeps its parsed
+    programs and not their texts, also when it reads the submission
+    back from the spool; it still converts to the shell run's bytes."""
+    gate = threading.Event()
+    entered = threading.Event()
+
+    def block(job, report):
+        entered.set()
+        gate.wait(timeout=30.0)
+
+    monkeypatch.setattr(jobs_mod, "_after_program", block)
+    manager = JobManager(tmp_path / "spool")
+    try:
+        manager.submit(submission(2))
+        assert entered.wait(timeout=30.0)
+        waiting = manager.submit(submission())
+        assert waiting.state == jobs_mod.STATE_QUEUED
+        assert waiting.programs == [parse_program(text) for text in corpus()]
+        assert "programs" not in waiting.submission
+        spooled_texts = json.loads(waiting.submission_path.read_text())
+        assert spooled_texts["programs"] == corpus()
+        gate.set()
+        assert wait_terminal(waiting) == jobs_mod.STATE_COMPLETED
+    finally:
+        gate.set()
+        manager.stop()
+    report_bytes, checkpoint_bytes = cli_reference_run(tmp_path)
+    assert waiting.report_bytes() == report_bytes
+    assert waiting.checkpoint_path.read_bytes() == checkpoint_bytes
+
+    reloaded = jobs_mod.Job(waiting.id, waiting.dir, waiting.total)
+    reloaded.load_submission()
+    assert reloaded.programs == [parse_program(text) for text in corpus()]
+    assert "programs" not in reloaded.submission
+
+
+def test_each_transition_writes_its_manifest_once(tmp_path, monkeypatch):
+    """Every manifest write of a transition is made by ``set_state``,
+    once: a completed, a parked and a resumed job."""
+    blocking = threading.Event()
+    gate = threading.Event()
+    entered = threading.Event()
+
+    def block(job, report):
+        if blocking.is_set():
+            entered.set()
+            gate.wait(timeout=30.0)
+
+    monkeypatch.setattr(jobs_mod, "_after_program", block)
+    writes = spy_persist(monkeypatch)
+    spool = tmp_path / "spool"
+    first = JobManager(spool)
+    completed = first.submit(submission(2))
+    assert wait_terminal(completed) == jobs_mod.STATE_COMPLETED
+    blocking.set()
+    stopped = first.submit(submission(2))
+    assert entered.wait(timeout=30.0)
+    parked = first.submit(submission(2))
+    stopper = threading.Thread(target=first.stop)
+    stopper.start()
+    time.sleep(0.2)
+    gate.set()
+    stopper.join(timeout=60.0)
+    assert not stopper.is_alive()
+
+    blocking.clear()
+    second = JobManager(spool)
+    try:
+        resumed = second.resume_job(parked.id)
+        assert wait_terminal(resumed) == jobs_mod.STATE_COMPLETED
+    finally:
+        second.stop()
+
+    def states(job):
+        return [state for job_id, state, _caller in writes
+                if job_id == job.id]
+
+    run = ["queued", "running"]
+    assert states(completed) == run + ["completed"]
+    assert states(stopped) == run + ["interrupted"]
+    assert states(parked) == ["queued", "interrupted"] + run + ["completed"]
+    assert {caller for _id, _state, caller in writes} == {"set_state"}
+
+
+def test_a_job_stranded_by_a_dead_server_restores_with_its_phase(
+        tmp_path, monkeypatch):
+    """A server that dies mid-batch leaves a ``running`` manifest (with
+    ``done`` 0: progress is not persisted) and a ``queued`` one; the
+    restore names each phase and writes each manifest itself, with no
+    event beyond the replayed one."""
+    gate = threading.Event()
+    entered = threading.Event()
+
+    def block(job, report):
+        entered.set()
+        gate.wait(timeout=30.0)
+
+    monkeypatch.setattr(jobs_mod, "_after_program", block)
+    manager = JobManager(tmp_path / "spool")
+    try:
+        running = manager.submit(submission(2))
+        assert entered.wait(timeout=30.0)
+        queued = manager.submit(submission(2))
+        # The spool as a killed server would leave it.
+        shutil.copytree(tmp_path / "spool", tmp_path / "crashed")
+    finally:
+        gate.set()
+        manager.stop()
+
+    monkeypatch.setattr(jobs_mod, "_after_program", lambda j, r: None)
+    writes = spy_persist(monkeypatch)
+    restored = JobManager(tmp_path / "crashed")
+    restored.stop()
+    for job, phase in ((running, "running"), (queued, "queued")):
+        again = restored.jobs[job.id]
+        assert again.state == jobs_mod.STATE_INTERRUPTED
+        assert again.error.startswith(
+            f"server stopped while the job was {phase};")
+        manifest = json.loads(again.manifest_path.read_text())
+        assert (manifest["state"], manifest["error"]) == \
+            (again.state, again.error)
+        assert [name for _, name, _ in again.events] == ["job"]
+    assert sorted(writes) == sorted(
+        (job.id, jobs_mod.STATE_INTERRUPTED, "_restore_spool")
+        for job in (running, queued))
+
+
+def test_a_restart_narrates_completed_jobs_without_parsing(tmp_path,
+                                                           monkeypatch):
+    """A restarted server replays a completed job from its folded
+    checkpoint's summaries, parsing no program: its ``program`` events
+    as the job streamed them, then its final ``job`` event.  A job
+    whose checkpoint cannot be read replays that ``job`` event alone."""
+    spool = tmp_path / "spool"
+    first = JobManager(spool)
+    try:
+        served = [first.submit(payload) for payload in (
+            e2_submission(8, {"jobs": 1}),
+            e2_submission(4, {"program_timeout": 1e-6}),
+            submission(2))]
+        for job in served:
+            assert wait_terminal(job) == jobs_mod.STATE_COMPLETED
+    finally:
+        first.stop()
+    served[2].checkpoint_path.write_text("{")
+
+    parsed = []
+    original = report_mod.parse_program
+
+    def counting(text):
+        parsed.append(text)
+        return original(text)
+
+    monkeypatch.setattr(report_mod, "parse_program", counting)
+    restored = JobManager(spool)
+    restored.stop()
+    assert parsed == []
+    for job in served:
+        live = [(name, data) for _, name, data in job.events]
+        expected = [event for event in live if event[0] == "program"]
+        if job is served[2]:
+            expected = []
+        expected.append(live[-1])
+        replay = restored.jobs[job.id].events
+        assert [(name, data) for _, name, data in replay] == expected
+        assert [seq for seq, _, _ in replay] == list(range(len(replay)))
+    failures = [data.get("failure") for _, name, data in
+                restored.jobs[served[1].id].events if name == "program"]
+    assert len(failures) == 4 and all(failures)
 
 
 def test_stop_parks_queued_jobs_resumably(tmp_path, monkeypatch):
