@@ -196,8 +196,9 @@ def convert_batch(
     checkpoints are byte-identical to paying for the attempt.
 
     Pass ``pool=`` (a :class:`~repro.parallel.WorkerPool` built once
-    from the same cascade) to convert many batches on the same warm
-    worker processes; the caller owns the pool's lifecycle.
+    from the same cascade) to convert many batches, each with its own
+    ``options``, on the same warm worker processes; the caller owns
+    the pool's lifecycle.
 
     ``progress`` is called once per settled program --
     ``progress(report, done, total, resumed)``, see

@@ -292,11 +292,6 @@ class BatchCheckpoint:
         a missing checkpoint."""
         return _reports(self.merge_shards(programs))
 
-    def completed_reports(self, programs: list[str]
-                          ) -> dict[str, ConversionReport]:
-        """The journaled reports, read without folding anything."""
-        return _reports(self._fold(programs)[0])
-
     def render(self) -> bytes | None:
         """The bytes :meth:`merge_shards` would write now, without
         writing them: a reader's view of a running or killed batch

@@ -9,9 +9,10 @@ algebra rewrites, and the optimizer passes the catalog permits.
 
 Everything here is a frozen dataclass of strings and tuples, so a
 catalog pickles with the cascade to parallel workers and hashes to a
-stable :meth:`RuleCatalog.identity` -- the value that flows into the
-service's ``pool_key`` so two jobs share warm state only when they
-compile the same ruleset.
+stable :meth:`RuleCatalog.identity`.  The service's ``pool_key``
+hashes a submission's catalog text with the artifacts the cascade is
+built from, so two jobs share a cascade and its warm pool only when
+they submit the same catalog.
 """
 
 from __future__ import annotations
@@ -189,8 +190,8 @@ class RuleCatalog:
 
     def identity(self) -> str:
         """A stable content hash of the canonical rendering -- the
-        catalog identity carried by worker pickles, bench reports, and
-        the service's ``pool_key``."""
+        catalog identity the compiled rules carry into worker pickles
+        (:attr:`repro.catalog.compile.CompiledRules.identity`)."""
         return hashlib.sha256(self.render().encode("utf-8")).hexdigest()
 
 

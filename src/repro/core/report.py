@@ -290,10 +290,3 @@ class BatchReport:
 
     def to_summary(self) -> dict[str, Any]:
         return {"reports": [r.to_summary() for r in self.reports]}
-
-    @classmethod
-    def from_summary(cls, summary: dict[str, Any]) -> "BatchReport":
-        return cls(reports=[
-            ConversionReport.from_summary(entry)
-            for entry in summary.get("reports", ())
-        ])

@@ -58,9 +58,7 @@ class ConversionOptions:
     #: Rule catalog driving the Program Converter (``None``: the
     #: shipped builtin catalog).  Load one with
     #: :func:`repro.api.load_rule_catalog`; the catalog is a frozen
-    #: value, so it pickles with these options to parallel workers and
-    #: its :meth:`~repro.catalog.model.RuleCatalog.identity` keys warm
-    #: state sharing in the service.
+    #: value, so it pickles with these options to parallel workers.
     rule_catalog: "RuleCatalog | None" = None
 
     # -- cascade knobs ------------------------------------------------

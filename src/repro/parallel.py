@@ -10,9 +10,10 @@ seed-state rehydration cost whole seconds against milliseconds of
 work.  This module replaces it with a :class:`WorkerPool` of
 long-lived worker processes:
 
-* the coordinator pickles the cascade seed state **once** and ships it
-  **once per worker at spawn**, never per batch; each worker
-  rehydrates once and stays warm for any number of batches;
+* the coordinator pickles the cascade **once** and ships it **once per
+  worker at spawn**, never per batch; each worker rehydrates once and
+  stays warm for any number of batches, each converted with the
+  options its ``begin`` message brings;
 * programs are dispatched in **chunks** from a coordinator-side bag of
   tasks (dynamic dispatch: a fast worker completes more chunks, so an
   expensive pathology on one worker no longer stalls a static
@@ -161,14 +162,15 @@ class ParallelExecutionError(ReproError):
 def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
     """One long-lived worker process.
 
-    Rehydrates the pickled ``(cascade, options)`` seed exactly once
-    (unpickling re-registers the engine metrics bundles into *this*
-    process's registry, see
-    :meth:`repro.engine.metrics.Metrics.__setstate__`), then serves
-    ``begin`` / ``chunk`` / ``exit`` messages until told to stop.  Each
-    chunk result carries, besides the chunk's summaries and metrics,
-    the worker's registry delta since ``begin``, the spans closed since
-    the previous chunk, and the worker's clock base.  SIGINT is
+    Rehydrates the pickled cascade exactly once (unpickling
+    re-registers the engine metrics bundles into *this* process's
+    registry, see :meth:`repro.engine.metrics.Metrics.__setstate__`),
+    then serves ``begin`` / ``chunk`` / ``exit`` messages until told to
+    stop.  ``begin`` brings the batch's pickled options, which convert
+    its chunks and name the worker's shard (``options.checkpoint``).
+    Each chunk result carries, besides the chunk's summaries, the
+    worker's registry delta since ``begin``, the spans closed since the
+    previous chunk, and the worker's clock base.  SIGINT is
     ignored: a terminal Ctrl-C reaches the whole process group, and it
     is the coordinator's drain -- not the signal -- that must stop a
     worker, *after* its in-flight chunk is journaled.
@@ -184,9 +186,10 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
         result_queue.join_thread()
 
     mark_worker_process(_drain_results)
-    cascade, options = pickle.loads(seed_blob)
+    cascade = pickle.loads(seed_blob)
     registry = get_registry()
 
+    options: ConversionOptions | None = None
     journal: BatchCheckpoint | None = None
     names: list[str] = []
     tracer: Tracer | None = None
@@ -199,9 +202,12 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
         if kind == "exit":
             return
         if kind == "begin":
-            _, names, checkpoint, trace = message
+            _, names, options_blob, trace = message
+            options = pickle.loads(options_blob)
             journal = (
-                BatchCheckpoint(checkpoint).shard(worker_id) if checkpoint else None
+                BatchCheckpoint(options.checkpoint).shard(worker_id)
+                if options.checkpoint
+                else None
             )
             before = registry.snapshot()
             if tracer is not None:
@@ -242,13 +248,14 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
 
 
 class WorkerPool:
-    """A persistent pool of warm worker processes bound to one seed.
+    """A persistent pool of warm worker processes bound to one cascade.
 
-    Construction pickles ``(cascade, options)`` once and spawns
+    Construction pickles the cascade once (``seed_blob``) and spawns
     ``jobs`` worker processes, each receiving the seed bytes exactly
     once; every worker rehydrates on startup and then serves any
-    number of batches.  Reuse the pool across batches (via
-    ``ParallelExecutor(..., pool=...)`` or
+    number of batches, each with the batch's own options (``options``
+    here only resolves a ``None`` worker count).  Reuse the pool across
+    batches (via ``ParallelExecutor(..., pool=...)`` or
     :func:`repro.api.convert_batch`'s ``pool=``) to amortize spawn and
     rehydration entirely.
 
@@ -273,7 +280,7 @@ class WorkerPool:
         # the rehydration contract assumes.
         ctx = get_context("spawn")
         self._ctx = ctx
-        self.seed_blob = pickle.dumps((cascade, options))
+        self.seed_blob = pickle.dumps(cascade)
         self._results = ctx.Queue()
         self._tasks = [ctx.Queue() for _ in range(self.jobs)]
         self._procs = [
@@ -606,7 +613,7 @@ class ParallelExecutor:
     Pass ``pool=`` to reuse a :class:`WorkerPool` across batches (the
     caller owns its lifecycle); otherwise the executor spins one up for
     the run and closes it after.  With an external pool the pool's
-    seed state and worker count govern the conversion.
+    worker count governs the conversion.
     """
 
     def __init__(
@@ -736,8 +743,8 @@ class ParallelExecutor:
         worker health (see :meth:`_receive`); a dead worker goes to
         :meth:`_bury`.
         """
-        checkpoint = str(journal.path) if journal is not None else None
-        begin = ("begin", names, checkpoint, current_tracer() is not None)
+        trace = current_tracer() is not None
+        begin = ("begin", names, pickle.dumps(self.options), trace)
         reports: dict[str, ConversionReport] = {}
         deltas: dict[int, dict[str, int]] = {}
         forests: dict[int, tuple[float, list[dict]]] = {}

@@ -37,8 +37,13 @@ Execution routes through the public facade
 (:func:`repro.api.build_cascade` + :func:`repro.api.convert_batch`),
 which is the byte-identity contract: a served job's checkpoint and
 report are the same bytes a ``repro convert`` run of the same
-artifacts produces.  Progress streams out as in-memory events (see
-:meth:`Job.follow`): a ``job`` event per state transition, one
+artifacts produces.  The manager keeps one warm entry, for the last
+application served: the cascade built from its DDL, spec, loader and
+rules (:func:`pool_key`), and the worker pool seeded with that
+cascade once a job asks for workers.  Each batch brings its own
+options to the pool, so a job over the same application reuses both
+whatever its inputs and options.  Progress streams out as in-memory
+events (see :meth:`Job.follow`): a ``job`` event per state transition, one
 ``program`` event per settled program from the batch layer's progress
 callback, and, when the job completes, one ``counters`` event with its
 ``supervision.*`` / ``cost.*`` registry delta (empty when nothing
@@ -218,7 +223,7 @@ class Job:
     terminal state, which drops them; :meth:`load_submission` reads
     the submission back from the spool and parses its programs
     again.  Every state change goes through :meth:`set_state`, which
-    narrates it and writes the manifest.
+    writes its manifest, then narrates it.
     """
 
     def __init__(
@@ -289,13 +294,15 @@ class Job:
         return self.state in TERMINAL_STATES
 
     def set_state(self, state: str, error: str | None = None) -> None:
-        """Transition, narrate and persist: every state change is also
-        a ``job`` event on the stream, appended under the same lock, so
-        a follower never sees a terminal state without its event; the
-        manifest is written once the lock is released.  Entering
-        ``queued`` starts a run: progress, counts and the event buffer
-        start over.  A terminal state drops the submission and the
-        parsed programs."""
+        """Persist, transition and narrate.  The new state's manifest
+        is written first, outside the lock, so a client that saw a
+        state finds it in the spool; then the state changes and its
+        ``job`` event is appended under one lock, so a follower never
+        sees a terminal state without its event.  Entering ``queued``
+        starts a run: progress, counts and the event buffer start
+        over.  A terminal state drops the submission and the parsed
+        programs."""
+        self.persist(state, error)
         with self.cond:
             if state == STATE_QUEUED:
                 self.done = 0
@@ -306,7 +313,6 @@ class Job:
             if self.terminal:
                 self.submission = self.programs = None
             self.emit("job", self._job_event())
-        self.persist()
 
     def _job_event(self) -> dict[str, Any]:
         data: dict[str, Any] = {
@@ -404,16 +410,21 @@ class Job:
 
     # -- persistence ---------------------------------------------------
 
-    def persist(self) -> None:
+    def persist(self, state: str | None = None, error: str | None = None) -> None:
+        """Write the manifest of the job as it is, or as it will be in
+        ``state`` with ``error``; a queued job has settled nothing."""
         with self.cond:
+            if state is None:
+                state, error = self.state, self.error
+            queued = state == STATE_QUEUED
             manifest = {
                 "version": MANIFEST_VERSION,
                 "id": self.id,
-                "state": self.state,
-                "error": self.error,
-                "done": self.done,
+                "state": state,
+                "error": error,
+                "done": 0 if queued else self.done,
                 "total": self.total,
-                "counts": dict(self.counts),
+                "counts": {} if queued else dict(self.counts),
             }
         write_json_atomic(manifest, self.manifest_path)
 
@@ -452,28 +463,18 @@ class Job:
 
 
 def pool_key(submission: dict[str, Any]) -> str:
-    """The warm-pool cache key: everything that shapes the pickled
-    worker seed.  Two jobs share a pool only when their probe
-    databases, operator, inputs, and conversion-relevant options are
-    identical -- the condition under which a warm worker is
-    byte-equivalent to a fresh one for the second job."""
-    options = submission.get("options", {})
-    relevant = {
-        "ddl": submission["ddl"],
-        "spec": submission["spec"],
-        "data": submission.get("data"),
-        "rules": submission.get("rules"),
-        "inputs": submission.get("inputs", []),
-        "jobs": options.get("jobs"),
-        "program_timeout": options.get("program_timeout"),
-    }
-    blob = json.dumps(relevant, sort_keys=True).encode("utf-8")
+    """The warm-state cache key: the artifacts a cascade is built from.
+    Two jobs share a cascade, and the warm pool seeded with it, only
+    when their schema, restructuring spec, loader and rule catalog are
+    identical.  A job's inputs and options travel with its batch."""
+    fields = ("ddl", "spec", "data", "rules")
+    blob = json.dumps([submission.get(field) for field in fields]).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 
 class JobManager:
     """Bounded job queue, executor thread, spool persistence, and the
-    warm-pool cache.
+    warm state of the last application served.
 
     ``queue_limit`` bounds *waiting* jobs (HTTP 503 when full) -- the
     backpressure that keeps a flood of submissions from exhausting the
@@ -500,8 +501,9 @@ class JobManager:
         # consumer, can free a slot in between but nothing can take it.
         self._admission = threading.Lock()
         self._stop = threading.Event()
-        self._pool: tuple[str, WorkerPool] | None = None
-        self._cascade: tuple[str, Any] | None = None
+        #: ``(pool_key, cascade, warm pool or None)`` of the last
+        #: application served.
+        self._warm: tuple[str, Any, WorkerPool | None] | None = None
         self._counter = 0
         self._restore_spool()
         self._executor = threading.Thread(
@@ -683,62 +685,50 @@ class JobManager:
             program_timeout=submitted.get("program_timeout"),
         )
 
-    def _pool_for(
-        self,
-        job: Job,
-        cascade: Any,
-        options: ConversionOptions,
-        pending: int,
-    ) -> WorkerPool | None:
-        """The shared warm pool, when this job can use one.
+    def _warm_for(
+        self, job: Job, options: ConversionOptions
+    ) -> tuple[Any, WorkerPool | None]:
+        """The shared cascade, and the warm pool when this job uses one.
 
-        Cache of one: the common served pattern is a stream of jobs
-        over the same application system, and those all hit the same
-        key.  A job with a different seed closes the cached pool and
-        warms its own."""
-        jobs = options.resolved_jobs()
-        if jobs <= 1 or pending < options.resolved_parallel_threshold(jobs):
-            return None
-        key = pool_key(job.submission)
-        with self._lock:
-            if self._pool is not None:
-                cached_key, cached = self._pool
-                if cached_key == key and not cached.closed:
-                    return cached
-                cached.close()
-                self._pool = None
-        pool = WorkerPool(cascade, options, jobs=jobs)
-        with self._lock:
-            self._pool = (key, pool)
-        return pool
-
-    def _cascade_for(self, job: Job) -> Any:
-        """The shared cascade, cache-of-one keyed like the warm pool.
-
-        Building a cascade replays the DDL parse, the loader program,
-        the rule catalog and the restructuring -- the dominant per-job
-        cost for a stream of jobs over one application system.  The
-        catalog is read only here: the cascade (and a warm pool's
+        Cache of one entry, keyed by :func:`pool_key`: the common served
+        pattern is a stream of jobs over the same application system,
+        and those all hit the same key.  Building a cascade replays the
+        DDL parse, the loader program, the rule catalog and the
+        restructuring -- the dominant per-job cost for such a stream.
+        The catalog is read only here: the cascade (and a warm pool's
         seed) holds it compiled.  Probes roll every mutation back
         inside savepoints, so a reused cascade's probe databases are
         byte-identical to freshly built ones, and the cascade keeps no
-        per-batch state that reaches report or checkpoint bytes."""
+        per-batch state that reaches report or checkpoint bytes.  A
+        pool is bound to the cascade alone, so a job asking another
+        worker count respawns only the pool, and a job that needs none
+        leaves it warm for the next."""
         submission = job.submission
         key = pool_key(submission)
         with self._lock:
-            if self._cascade is not None and self._cascade[0] == key:
-                return self._cascade[1]
-        rules = submission.get("rules")
-        catalog = None if rules is None else api.load_rule_catalog(rules)
-        cascade = api.build_cascade(
-            submission["ddl"],
-            submission["spec"],
-            data=submission.get("data"),
-            options=ConversionOptions(rule_catalog=catalog),
-        )
+            cached, cascade, pool = self._warm or (None, None, None)
+        if cached != key:
+            if pool is not None:
+                pool.close()
+            rules = submission.get("rules")
+            catalog = None if rules is None else api.load_rule_catalog(rules)
+            cascade = api.build_cascade(
+                submission["ddl"],
+                submission["spec"],
+                data=submission.get("data"),
+                options=ConversionOptions(rule_catalog=catalog),
+            )
+            pool = None
+        jobs = options.resolved_jobs()
+        threshold = options.resolved_parallel_threshold(jobs)
+        wanted = jobs > 1 and len(job.programs) >= threshold
+        if wanted and (pool is None or pool.closed or pool.jobs != jobs):
+            if pool is not None:
+                pool.close()
+            pool = WorkerPool(cascade, jobs=jobs)
         with self._lock:
-            self._cascade = (key, cascade)
-        return cascade
+            self._warm = (key, cascade, pool)
+        return cascade, pool if wanted else None
 
     def _execute(self, job: Job) -> None:
         job.set_state(STATE_RUNNING)
@@ -748,11 +738,10 @@ class JobManager:
                 job.load_submission()
             programs = job.programs
             options = self._options_for(job)
-            cascade = self._cascade_for(job)
-            pool = self._pool_for(job, cascade, options, len(programs))
-            # After the cache lookups: evicting a cached cascade drops
-            # its counters from the registry, which must not cancel
-            # this job's movement.
+            cascade, pool = self._warm_for(job, options)
+            # After the warm-state lookup: evicting a cached cascade
+            # drops its counters from the registry, which must not
+            # cancel this job's movement.
             before = registry.snapshot()
 
             def progress(
@@ -827,10 +816,10 @@ class JobManager:
                 break
             self._park(job)
         with self._lock:
-            if self._pool is not None:
-                self._pool[1].close()
-                self._pool = None
-            self._cascade = None
+            _key, _cascade, pool = self._warm or (None, None, None)
+            self._warm = None
+        if pool is not None:
+            pool.close()
         for job in list(self.jobs.values()):
             with job.cond:
                 job.cond.notify_all()

@@ -299,6 +299,8 @@ class FallbackCascade:
             ConversionReport(program.name, STATUS_FAILED)
         report.status = STATUS_FAILED
         report.failure = last_detail
+        # Every stage failed: a target rewrite generated may not serve.
+        report.target_program = None
         report.strategy = None
         report.stages = list(stages)
         if last_error is not None:

@@ -137,6 +137,8 @@ class TestEscalation:
         with injector:
             report = cascade.convert(hire_program())
         assert report.status == STATUS_FAILED
+        assert not report.converted
+        assert report.to_summary()["target_text"] is None
         assert report.fault is not None
         assert "InjectedFault" in report.fault.root_cause
         assert all(stage.outcome == "error"

@@ -451,17 +451,18 @@ def test_cascade_cache_reuses_by_key_and_splits_on_rules(tmp_path):
     the catalog it was built with."""
     manager = JobManager(tmp_path / "spool")
     try:
+        options = ConversionOptions()
         job = SimpleNamespace(submission=_submission())
-        first = manager._cascade_for(job)
-        assert manager._cascade_for(job) is first
+        first, _pool = manager._warm_for(job, options)
+        assert manager._warm_for(job, options)[0] is first
         assert first.rule_catalog is None
         rules = (EXAMPLES / "store-default.rules").read_text()
         spec_job = SimpleNamespace(
             submission=_submission(spec=GRADE_SPEC, rules=rules))
-        rebuilt = manager._cascade_for(spec_job)
+        rebuilt, _pool = manager._warm_for(spec_job, options)
         assert rebuilt is not first
         assert rebuilt.rule_catalog is not None
-        assert manager._cascade_for(spec_job) is rebuilt
+        assert manager._warm_for(spec_job, options)[0] is rebuilt
     finally:
         manager.stop()
 

@@ -24,7 +24,16 @@ import repro.batch
 import repro.jsonio
 from repro import api
 from repro.batch import BatchCheckpoint, run_batch
-from repro.faultinject import InjectedFault, inject, plan_faults
+from repro.core.report import STATUS_QUARANTINED
+from repro.faultinject import (
+    KIND_HANG,
+    KIND_KILL_WORKER,
+    FaultPlan,
+    InjectedFault,
+    PlannedFault,
+    inject,
+    plan_faults,
+)
 from repro.observe.merge import WORKER_ROOT
 from repro.observe.registry import MetricsRegistry, get_registry
 from repro.observe.tracing import Tracer
@@ -278,6 +287,44 @@ class TestWarmPool:
                 assert summaries(batch) == summaries(serial)
                 assert path.read_bytes() == serial_path.read_bytes()
             assert pool.worker_pids() == pids_before
+
+    def test_a_warm_pool_converts_with_each_batch_options(self, tmp_path):
+        """A pool is bound to its cascade alone: built with ``STORE``
+        input and no fault plan, it converts each batch with the
+        batch's own options -- ``MODIFY`` input, then also a kill and
+        a hang under a deadline -- into the bytes a serial run of
+        those options writes."""
+        programs = corpus_programs(0.5, size=24)
+        modify = OPTIONS.replace(inputs=ProgramInputs(terminal=["MODIFY"]))
+        plan = FaultPlan(tuple(
+            PlannedFault(target="source_db", method="calc_index", nth=1,
+                         program=program.name, kind=kind)
+            for program, kind in zip(programs,
+                                     (KIND_KILL_WORKER, KIND_HANG))))
+        asked = [modify,
+                 modify.replace(fault_plan=plan, program_timeout=0.3)]
+        store = summaries(run_batch(fresh_cascade(), programs, OPTIONS))
+
+        cascade = fresh_cascade()
+        served = []
+        with WorkerPool(cascade, OPTIONS, jobs=2) as pool:
+            assert isinstance(pickle.loads(pool.seed_blob), FallbackCascade)
+            for index, options in enumerate(asked):
+                serial_path = tmp_path / f"serial{index}.json"
+                pool_path = tmp_path / f"pool{index}.json"
+                serial = run_batch(fresh_cascade(), programs,
+                                   options.replace(checkpoint=serial_path))
+                batch = ParallelExecutor(
+                    cascade, programs,
+                    options.replace(checkpoint=pool_path), pool=pool).run()
+                assert summaries(batch) == summaries(serial)
+                assert pool_path.read_bytes() == serial_path.read_bytes()
+                served.append(batch)
+        # The input word reaches the reports (two verb-variability
+        # programs pick another verb), and the plan quarantines one.
+        assert summaries(served[0]) != store
+        statuses = [report.status for report in served[1].reports]
+        assert statuses.count(STATUS_QUARANTINED) == 1
 
     def test_chunk_size_does_not_change_the_bytes(self, tmp_path):
         programs = corpus_programs(0.75)

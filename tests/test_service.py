@@ -85,21 +85,24 @@ def spooled(job):
 
 
 def spy_persist(monkeypatch):
-    """Record every manifest write as (job id, state, calling function)."""
+    """Record every manifest write as (job id, state written, calling
+    function)."""
     writes = []
     persist = jobs_mod.Job.persist
 
-    def spying(job):
-        writes.append((job.id, job.state, sys._getframe(1).f_code.co_name))
-        persist(job)
+    def spying(job, *args):
+        persist(job, *args)
+        state = json.loads(job.manifest_path.read_text())["state"]
+        writes.append((job.id, state, sys._getframe(1).f_code.co_name))
 
     monkeypatch.setattr(jobs_mod.Job, "persist", spying)
     return writes
 
 
-def cli_reference_run(tmp_path, size=3):
+def cli_reference_run(tmp_path, size=3, *flags):
     """The shell-side of the byte-identity contract: the same batch via
-    ``repro convert``, returning (report_bytes, checkpoint_bytes)."""
+    ``repro convert`` (``--jobs 1`` unless ``flags`` say otherwise),
+    returning (report_bytes, checkpoint_bytes)."""
     ref = tmp_path / "cli-ref"
     ref.mkdir()
     ddl = ref / "company.ddl"
@@ -114,7 +117,7 @@ def cli_reference_run(tmp_path, size=3):
     checkpoint = ref / "checkpoint.json"
     report = ref / "report.json"
     code = main(["convert", "--ddl", str(ddl), "--spec", str(spec),
-                 *program_args, "--jobs", "1",
+                 *program_args, "--jobs", "1", *flags,
                  "--checkpoint", str(checkpoint),
                  "--report-json", str(report)])
     assert code == 0
@@ -264,10 +267,13 @@ def test_validate_submission_normalizes():
 
 
 def test_pool_key_ignores_service_side_fields():
+    """The key covers what a cascade is built from: a job's programs,
+    inputs and options travel with its batch."""
     a, b = submission(2), submission(5)
     assert pool_key(a) == pool_key(b)  # program list is not in the seed
-    assert pool_key(a) != pool_key(
-        submission(2, options={"program_timeout": 30}))
+    assert pool_key(a) == pool_key(submission(
+        2, inputs=["MODIFY"], options={"jobs": 2, "program_timeout": 30}))
+    assert pool_key(a) != pool_key(submission(2, data=LOADER))
 
 
 # -- the job manager ---------------------------------------------------
@@ -425,41 +431,134 @@ def test_job_manager_warm_pool_is_shared_across_jobs(tmp_path):
         options = {"jobs": 2, "parallel_threshold": 2, "chunk_size": 1}
         first = manager.submit(submission(4, options=options))
         assert wait_terminal(first) == jobs_mod.STATE_COMPLETED
-        assert manager._pool is not None
-        pool = manager._pool[1]
+        pool = manager._warm[2]
+        assert pool is not None
         second = manager.submit(submission(4, options=options))
         assert wait_terminal(second) == jobs_mod.STATE_COMPLETED
-        assert manager._pool is not None
-        assert manager._pool[1] is pool  # same warm pool, no respawn
+        assert manager._warm[2] is pool  # same warm pool, no respawn
         assert second.counts == {"converted-with-warnings": 4}
         assert [n for _, n, _ in second.events].count("program") == 4
     finally:
         manager.stop()
 
 
+def test_one_warm_entry_serves_an_application_at_any_options(
+        tmp_path, monkeypatch):
+    """The warm entry is keyed by the application alone: a pool job,
+    the same with a deadline, then a serial job build one cascade and
+    spawn one pool, and each serves the report ``repro convert``
+    writes for its own options.  Another application closes the pool
+    and builds its own cascade."""
+    builds, spawns = [], []
+    build, init = api.build_cascade, WorkerPool.__init__
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    def counting_init(pool, *args, **kwargs):
+        spawns.append(kwargs.get("jobs"))
+        init(pool, *args, **kwargs)
+
+    monkeypatch.setattr(api, "build_cascade", counting_build)
+    monkeypatch.setattr(WorkerPool, "__init__", counting_init)
+    pool_flags = ["--jobs", "2", "--parallel-threshold", "1"]
+    sequence = [
+        ({"jobs": 2, "parallel_threshold": 1}, pool_flags),
+        ({"jobs": 2, "parallel_threshold": 1, "program_timeout": 30},
+         pool_flags + ["--program-timeout", "30"]),
+        ({"jobs": 1}, []),
+    ]
+    manager = JobManager(tmp_path / "spool")
+    try:
+        served = []
+        for options, _flags in sequence:
+            job = manager.submit(submission(options=options))
+            assert wait_terminal(job) == jobs_mod.STATE_COMPLETED
+            served.append(job.report_bytes())
+        assert (len(builds), spawns) == (1, [2])
+        pool = manager._warm[2]
+        other = manager.submit(submission(data=LOADER))
+        assert wait_terminal(other) == jobs_mod.STATE_COMPLETED
+        assert pool.closed and manager._warm[2] is None
+        assert (len(builds), spawns) == (2, [2])
+    finally:
+        manager.stop()
+    for index, (_options, flags) in enumerate(sequence):
+        reference = tmp_path / f"reference{index}"
+        reference.mkdir()
+        report_bytes, _checkpoint = cli_reference_run(reference, 3, *flags)
+        assert served[index] == report_bytes
+
+
+def test_a_terminal_event_follows_its_manifest(tmp_path, monkeypatch):
+    """A transition's manifest is written before its ``job`` event is
+    appended: while the ``completed`` manifest's write is held, no
+    follower has the event, and a follower that sees it finds the
+    spool saying ``completed``."""
+    held, release = threading.Event(), threading.Event()
+    write = jobs_mod.write_json_atomic
+
+    def gated(data, path, *args, **kwargs):
+        if data.get("state") == jobs_mod.STATE_COMPLETED:
+            held.set()
+            assert release.wait(timeout=30.0)
+        return write(data, path, *args, **kwargs)
+
+    monkeypatch.setattr(jobs_mod, "write_json_atomic", gated)
+    manager = JobManager(tmp_path / "spool")
+    spooled_states = []
+    try:
+        job = manager.submit(submission(2))
+
+        def follow():
+            for _seq, name, data in job.follow():
+                if name == "job" and data["state"] in jobs_mod.TERMINAL_STATES:
+                    manifest = json.loads(job.manifest_path.read_text())
+                    spooled_states.append(manifest["state"])
+
+        follower = threading.Thread(target=follow)
+        follower.start()
+        assert held.wait(timeout=30.0)
+        with job.cond:
+            states = [data["state"] for _seq, name, data in job.events
+                      if name == "job"]
+            assert not job.terminal
+        assert states == [jobs_mod.STATE_QUEUED, jobs_mod.STATE_RUNNING]
+        release.set()
+        follower.join(timeout=30.0)
+        assert not follower.is_alive()
+    finally:
+        release.set()
+        manager.stop()
+    assert spooled_states == [jobs_mod.STATE_COMPLETED]
+
+
 def test_every_job_emits_its_own_counters(tmp_path):
-    """A job's ``counters`` event is its own registry movement, also
-    when the job evicts the cached cascade (other ``inputs``) and when
-    its worker pool's deltas arrive from other processes."""
+    """A job's ``counters`` event is its own registry movement, when
+    the job reuses the cached cascade (other ``inputs``), when it
+    evicts it (another loader, then none again) and when its worker
+    pool's deltas arrive from other processes."""
     programs = [render_program(item.program) for item in generate_corpus(
         CorpusSpec(seed=1979, size=8, pathology_rate=0.75))]
     manager = JobManager(tmp_path / "spool")
     try:
         emitted = []
-        for inputs, options in ((["STORE"], {"jobs": 1}),
-                                (["STORE", "STORE"], {"jobs": 1}),
-                                (["STORE"], {"jobs": 2,
-                                             "parallel_threshold": 1})):
+        for inputs, data, options in (
+                (["STORE"], None, {"jobs": 1}),
+                (["STORE", "STORE"], None, {"jobs": 1}),
+                (["STORE"], LOADER, {"jobs": 1}),
+                (["STORE"], None, {"jobs": 2, "parallel_threshold": 1})):
             job = manager.submit({"ddl": FIGURE_4_3_DDL,
                                   "spec": FIG44_SPEC, "programs": programs,
-                                  "inputs": inputs, "options": options})
+                                  "data": data, "inputs": inputs,
+                                  "options": options})
             assert wait_terminal(job) == jobs_mod.STATE_COMPLETED
             emitted.append([payload["counters"]
                             for _, name, payload in job.events
                             if name == "counters"])
         assert emitted[0] == [{"cost.rewrite_skips": 1}]
-        assert emitted[1] == emitted[0]
-        assert emitted[2] == emitted[0]
+        assert emitted[1:] == [emitted[0]] * 3
     finally:
         manager.stop()
 
@@ -636,8 +735,6 @@ def test_a_completed_job_spools_three_files_and_serves_the_cli_report(
         assert wait_terminal(job) == jobs_mod.STATE_COMPLETED
         served = get_bytes(service, snap["links"]["report"])
     finally:
-        # Stopping joins the executor, whose manifest write follows
-        # the terminal event.
         service.stop()
     report_bytes, _checkpoint_bytes = cli_reference_run(tmp_path)
     assert served == report_bytes

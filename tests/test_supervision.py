@@ -133,8 +133,7 @@ class TestSerialQuarantine:
         run_batch(fresh_cascade(), programs,
                   CHAOS.replace(fault_plan=kill_plan(poison),
                                 checkpoint=path))
-        reports = BatchCheckpoint(path).completed_reports(
-            [p.name for p in programs])
+        reports = BatchCheckpoint(path).recover([p.name for p in programs])
         assert reports[poison].status == STATUS_QUARANTINED
         assert reports[poison].fault.error_type == "WorkerKilled"
 
