@@ -672,7 +672,7 @@ class ParallelExecutor:
         pool = self.pool
         owned = pool is None
         if owned:
-            pool = WorkerPool(self.cascade, options, jobs=min(jobs, len(pending)))
+            pool = WorkerPool(self.cascade, jobs=min(jobs, len(pending)))
         scheduler = Scheduler(
             pending, options.resolved_chunk_size(len(pending), pool.jobs)
         )

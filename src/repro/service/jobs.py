@@ -223,7 +223,7 @@ class Job:
     terminal state, which drops them; :meth:`load_submission` reads
     the submission back from the spool and parses its programs
     again.  Every state change goes through :meth:`set_state`, which
-    writes its manifest, then narrates it.
+    narrates it and writes the manifest.
     """
 
     def __init__(
@@ -294,15 +294,13 @@ class Job:
         return self.state in TERMINAL_STATES
 
     def set_state(self, state: str, error: str | None = None) -> None:
-        """Persist, transition and narrate.  The new state's manifest
-        is written first, outside the lock, so a client that saw a
-        state finds it in the spool; then the state changes and its
-        ``job`` event is appended under one lock, so a follower never
-        sees a terminal state without its event.  Entering ``queued``
-        starts a run: progress, counts and the event buffer start
-        over.  A terminal state drops the submission and the parsed
-        programs."""
-        self.persist(state, error)
+        """Transition, narrate and persist: every state change is also
+        a ``job`` event on the stream, appended under the same lock, so
+        a follower never sees a terminal state without its event; the
+        manifest is written once the lock is released.  Entering
+        ``queued`` starts a run: progress, counts and the event buffer
+        start over.  A terminal state drops the submission and the
+        parsed programs."""
         with self.cond:
             if state == STATE_QUEUED:
                 self.done = 0
@@ -313,6 +311,7 @@ class Job:
             if self.terminal:
                 self.submission = self.programs = None
             self.emit("job", self._job_event())
+        self.persist()
 
     def _job_event(self) -> dict[str, Any]:
         data: dict[str, Any] = {
@@ -410,21 +409,16 @@ class Job:
 
     # -- persistence ---------------------------------------------------
 
-    def persist(self, state: str | None = None, error: str | None = None) -> None:
-        """Write the manifest of the job as it is, or as it will be in
-        ``state`` with ``error``; a queued job has settled nothing."""
+    def persist(self) -> None:
         with self.cond:
-            if state is None:
-                state, error = self.state, self.error
-            queued = state == STATE_QUEUED
             manifest = {
                 "version": MANIFEST_VERSION,
                 "id": self.id,
-                "state": state,
-                "error": error,
-                "done": 0 if queued else self.done,
+                "state": self.state,
+                "error": self.error,
+                "done": self.done,
                 "total": self.total,
-                "counts": {} if queued else dict(self.counts),
+                "counts": dict(self.counts),
             }
         write_json_atomic(manifest, self.manifest_path)
 
@@ -661,9 +655,14 @@ class JobManager:
                 break
             try:
                 self._execute(job)
-            except Exception:  # pragma: no cover - defensive
+            except Exception:
                 log.exception("service: executor crashed on %s", job.id)
-                job.set_state(STATE_FAILED, error="internal executor fault")
+                try:
+                    job.set_state(STATE_FAILED, error="internal executor fault")
+                except OSError:
+                    # The state and its event are in place; only the
+                    # manifest is missing, and the executor goes on.
+                    log.exception("service: cannot write %s's manifest", job.id)
 
     def _park(self, job: Job) -> None:
         error = (
@@ -708,8 +707,6 @@ class JobManager:
         with self._lock:
             cached, cascade, pool = self._warm or (None, None, None)
         if cached != key:
-            if pool is not None:
-                pool.close()
             rules = submission.get("rules")
             catalog = None if rules is None else api.load_rule_catalog(rules)
             cascade = api.build_cascade(
@@ -718,6 +715,10 @@ class JobManager:
                 data=submission.get("data"),
                 options=ConversionOptions(rule_catalog=catalog),
             )
+            # Only now: a build that raises leaves the cached entry,
+            # warm pool included, as it was.
+            if pool is not None:
+                pool.close()
             pool = None
         jobs = options.resolved_jobs()
         threshold = options.resolved_parallel_threshold(jobs)

@@ -2,6 +2,7 @@
 format, the job manager and its event stream, the HTTP surface, and
 the graceful-shutdown / resume byte-identity contract."""
 
+import errno
 import json
 import shutil
 import sys
@@ -17,6 +18,7 @@ import pytest
 from repro import api
 from repro.cli import main
 from repro.core import report as report_mod
+from repro.errors import ReproError
 from repro.observe.registry import MetricsRegistry
 from repro.options import ConversionOptions
 from repro.parallel import WorkerPool
@@ -85,15 +87,13 @@ def spooled(job):
 
 
 def spy_persist(monkeypatch):
-    """Record every manifest write as (job id, state written, calling
-    function)."""
+    """Record every manifest write as (job id, state, calling function)."""
     writes = []
     persist = jobs_mod.Job.persist
 
-    def spying(job, *args):
-        persist(job, *args)
-        state = json.loads(job.manifest_path.read_text())["state"]
-        writes.append((job.id, state, sys._getframe(1).f_code.co_name))
+    def spying(job):
+        writes.append((job.id, job.state, sys._getframe(1).f_code.co_name))
+        persist(job)
 
     monkeypatch.setattr(jobs_mod.Job, "persist", spying)
     return writes
@@ -491,47 +491,70 @@ def test_one_warm_entry_serves_an_application_at_any_options(
         assert served[index] == report_bytes
 
 
-def test_a_terminal_event_follows_its_manifest(tmp_path, monkeypatch):
-    """A transition's manifest is written before its ``job`` event is
-    appended: while the ``completed`` manifest's write is held, no
-    follower has the event, and a follower that sees it finds the
-    spool saying ``completed``."""
-    held, release = threading.Event(), threading.Event()
-    write = jobs_mod.write_json_atomic
+def test_a_failed_cascade_build_leaves_the_warm_pool_open(
+        tmp_path, monkeypatch):
+    """The warm pool is closed only once another application's cascade
+    is built: a job whose build fails leaves the pool warm for the next
+    job over the cached application."""
+    build = api.build_cascade
 
-    def gated(data, path, *args, **kwargs):
-        if data.get("state") == jobs_mod.STATE_COMPLETED:
-            held.set()
-            assert release.wait(timeout=30.0)
+    def failing_build(*args, **kwargs):
+        if kwargs.get("data") is not None:
+            raise ReproError("loader failed")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(api, "build_cascade", failing_build)
+    options = {"jobs": 2, "parallel_threshold": 1}
+    manager = JobManager(tmp_path / "spool")
+    try:
+        first = manager.submit(submission(options=options))
+        assert wait_terminal(first) == jobs_mod.STATE_COMPLETED
+        pool = manager._warm[2]
+        broken = manager.submit(submission(data=LOADER, options=options))
+        assert wait_terminal(broken) == jobs_mod.STATE_FAILED
+        again = manager.submit(submission(options=options))
+        assert wait_terminal(again) == jobs_mod.STATE_COMPLETED
+        assert manager._warm[2] is pool and not pool.closed
+    finally:
+        manager.stop()
+
+
+def test_an_unwritable_manifest_still_ends_the_stream(tmp_path, monkeypatch):
+    """A transition's ``job`` event is appended before its manifest is
+    written, so a job whose manifest cannot be written from
+    ``completed`` on still ends for its follower, and the executor
+    goes on to the next job."""
+    write = jobs_mod.write_json_atomic
+    stuck = tmp_path / "spool" / "job-000001" / "job.json"
+
+    def failing(data, path, *args, **kwargs):
+        if path == stuck and data["state"] in jobs_mod.TERMINAL_STATES:
+            raise OSError(errno.ENOSPC, "No space left on device")
         return write(data, path, *args, **kwargs)
 
-    monkeypatch.setattr(jobs_mod, "write_json_atomic", gated)
+    monkeypatch.setattr(jobs_mod, "write_json_atomic", failing)
     manager = JobManager(tmp_path / "spool")
-    spooled_states = []
+    states = []
     try:
-        job = manager.submit(submission(2))
+        first = manager.submit(submission(2))
+        assert first.manifest_path == stuck
 
         def follow():
-            for _seq, name, data in job.follow():
-                if name == "job" and data["state"] in jobs_mod.TERMINAL_STATES:
-                    manifest = json.loads(job.manifest_path.read_text())
-                    spooled_states.append(manifest["state"])
+            for _seq, name, data in first.follow(stop=manager.stopping):
+                if name == "job":
+                    states.append(data["state"])
 
         follower = threading.Thread(target=follow)
         follower.start()
-        assert held.wait(timeout=30.0)
-        with job.cond:
-            states = [data["state"] for _seq, name, data in job.events
-                      if name == "job"]
-            assert not job.terminal
-        assert states == [jobs_mod.STATE_QUEUED, jobs_mod.STATE_RUNNING]
-        release.set()
         follower.join(timeout=30.0)
         assert not follower.is_alive()
+        second = manager.submit(submission(2))
+        assert wait_terminal(second) == jobs_mod.STATE_COMPLETED
     finally:
-        release.set()
         manager.stop()
-    assert spooled_states == [jobs_mod.STATE_COMPLETED]
+    assert states[:3] == [jobs_mod.STATE_QUEUED, jobs_mod.STATE_RUNNING,
+                          jobs_mod.STATE_COMPLETED]
+    assert first.terminal
 
 
 def test_every_job_emits_its_own_counters(tmp_path):
@@ -735,6 +758,8 @@ def test_a_completed_job_spools_three_files_and_serves_the_cli_report(
         assert wait_terminal(job) == jobs_mod.STATE_COMPLETED
         served = get_bytes(service, snap["links"]["report"])
     finally:
+        # Stopping joins the executor, whose manifest write follows
+        # the terminal event.
         service.stop()
     report_bytes, _checkpoint_bytes = cli_reference_run(tmp_path)
     assert served == report_bytes
