@@ -19,7 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.dataflow import is_runtime_constant
+from repro.analysis.dataflow import (
+    expression_variables,
+    is_constant_under,
+    runtime_constants,
+)
 from repro.programs import ast
 from repro.programs.ast import Program, Stmt, children_of, walk_program
 
@@ -52,19 +56,20 @@ VERB_VARIABILITY_DETAIL = (
 
 
 def detect_verb_variability(program: Program) -> list[Finding]:
-    """Call-interface DML whose verb is not provably constant."""
-    findings = []
-    for stmt in walk_program(program):
-        if not isinstance(stmt, ast.NetGenericCall):
-            continue
-        if is_runtime_constant(program, stmt.verb):
-            continue
-        findings.append(Finding(
-            "verb-variability", stmt.render(),
-            VERB_VARIABILITY_DETAIL,
-            blocking=True,
-        ))
-    return findings
+    """Call-interface DML whose verb is not provably constant, in walk
+    order.  The program's bindings are counted at most once, and only
+    for verb variables with a top-level ``MOVE literal``."""
+    calls = [stmt for stmt in walk_program(program)
+             if type(stmt) is ast.NetGenericCall]
+    constants = runtime_constants(program, {
+        name for call in calls for name in expression_variables(call.verb)
+    })
+    return [
+        Finding("verb-variability", call.render(), VERB_VARIABILITY_DETAIL,
+                blocking=True)
+        for call in calls
+        if not is_constant_under(call.verb, constants)
+    ]
 
 
 def detect_order_dependence(program: Program) -> list[Finding]:

@@ -184,9 +184,10 @@ def _cmd_convert_batch(args, schema, operator, programs) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for report in batch.reports:
-            if report.target_program is not None:
-                path = out_dir / f"{report.program_name}.cob"
-                path.write_text(render_program(report.target_program))
+            # The kept text of a pooled or resumed report: no parse.
+            text = report.rendered_target()
+            if text is not None:
+                (out_dir / f"{report.program_name}.cob").write_text(text)
     failed = [r for r in batch.reports if not r.converted]
     return 1 if failed else 0
 

@@ -145,13 +145,42 @@ class FaultContext:
         )
 
 
+class _ParsedOnRead:
+    """:attr:`ConversionReport.target_program`: the program as set, or
+    the report's kept ``target_text`` parsed the first time it is read
+    (either is held in ``report._target``).
+
+    As a dataclass field's default it keeps ``target_program`` an
+    ordinary constructor argument and field (read from the class it is
+    the default, ``None``); setting it drops any kept text."""
+
+    def __get__(self, report: Any, owner: type | None = None) -> Program | None:
+        if report is None:
+            return None
+        if report._target is None and report.target_text is not None:
+            report._target = parse_program(report.target_text)
+        return report._target
+
+    def __set__(self, report: Any, program: Program | None) -> None:
+        report._target = program
+        report.target_text = None
+
+
 @dataclass
 class ConversionReport:
-    """Everything the supervisor learned converting one program."""
+    """Everything the supervisor learned converting one program.
+
+    A report read back from a summary (:meth:`from_summary`: the pool
+    merge and a resume) keeps the summary's ``target_text`` and parses
+    it only when :attr:`target_program` is first read; :meth:`to_summary`
+    and :attr:`converted` use the kept text as it is, so such a report
+    is written back out without a parse or a render (the render/parse
+    round trip is exact).
+    """
 
     program_name: str
     status: str
-    target_program: Program | None = None
+    target_program: Program | None = _ParsedOnRead()  # type: ignore[assignment]
     abstract_source: AbstractProgram | None = None
     abstract_target: AbstractProgram | None = None
     notes: list[str] = field(default_factory=list)
@@ -165,6 +194,10 @@ class ConversionReport:
     stages: list[StageOutcome] = field(default_factory=list)
     #: Structured context when the program faulted.
     fault: FaultContext | None = None
+    #: The rendered target kept from a summary until
+    #: :attr:`target_program` is set (after it in field order: setting
+    #: the target clears this).
+    target_text: str | None = field(default=None, repr=False, compare=False)
 
     @property
     def converted(self) -> bool:
@@ -172,7 +205,7 @@ class ConversionReport:
         OR a runtime strategy (emulation/bridge) validated -- Section
         1.1's "each program actually existing in the source system has
         been converted" admits either."""
-        if self.target_program is not None:
+        if self.target_text is not None or self._target is not None:
             return True
         return self.strategy is not None and self.status != STATUS_FAILED
 
@@ -199,18 +232,25 @@ class ConversionReport:
             lines.append(render_program(self.target_program))
         return "\n".join(lines)
 
+    def rendered_target(self) -> str | None:
+        """The target program's text: the kept text, or a render of the
+        set target; ``None`` when there is no target."""
+        if self.target_text is not None or self._target is None:
+            return self.target_text
+        return render_program(self._target)
+
     # -- checkpoint serialization -------------------------------------
 
     def to_summary(self) -> dict[str, Any]:
         """A JSON-able summary carrying everything the batch checkpoint
         needs to resume: the status bookkeeping plus the rendered
-        target program (the render/parse round trip is exact)."""
+        target program (:meth:`rendered_target`; the render/parse round
+        trip is exact)."""
         return {
             "program": self.program_name,
             "status": self.status,
             "strategy": self.strategy,
-            "target_text": (render_program(self.target_program)
-                            if self.target_program is not None else None),
+            "target_text": self.rendered_target(),
             "notes": list(self.notes),
             "warnings": list(self.warnings),
             "questions": list(self.questions),
@@ -221,13 +261,12 @@ class ConversionReport:
 
     @classmethod
     def from_summary(cls, summary: dict[str, Any]) -> "ConversionReport":
-        target = None
-        if summary.get("target_text"):
-            target = parse_program(summary["target_text"])
+        """The report a summary describes, keeping its ``target_text``
+        unparsed."""
         return cls(
             program_name=summary["program"],
             status=summary["status"],
-            target_program=target,
+            target_text=summary.get("target_text") or None,
             notes=list(summary.get("notes", ())),
             warnings=list(summary.get("warnings", ())),
             questions=list(summary.get("questions", ())),

@@ -14,7 +14,11 @@ byte-identical at every worker count and in either strategy order.
 :func:`~repro.analysis.variability.detect_verb_variability` walks the
 program in :func:`~repro.programs.ast.walk_program` order -- the order
 the analyzer reports its findings in -- so the synthesized refusal text
-is the analyzer's, byte for byte.
+is the analyzer's, byte for byte.  Its cost is one walk of the program
+in one generator frame, plus, only when a verb's variable has a
+top-level ``MOVE literal``, one count of those variables' bindings
+(:func:`~repro.analysis.dataflow.runtime_constants`), however many
+calls share them.
 
 Cardinality-driven choices live elsewhere: the optimizer's calc-locate
 and hoist-locate passes read a

@@ -46,10 +46,13 @@ long-lived worker processes:
   out with the same deterministic report serially and in-worker.
 
 The deterministic merge is unchanged from the spawn-per-batch
-executor: report summaries come back through the exact render/parse
-round trip and are reassembled in program order, and the shards,
-together with the coordinator's quarantine records, fold into the
-checkpoint in program order through the serial engine's fold step
+executor: report summaries come back with each target program rendered
+to text, and :meth:`~repro.core.report.ConversionReport.from_summary`
+keeps that text, parsing it only if something reads the report's
+``target_program`` (the render/parse round trip is exact), so the merge
+parses nothing.  Reports are reassembled in program order, and the
+shards, together with the coordinator's quarantine records, fold into
+the checkpoint in program order through the serial engine's fold step
 (:meth:`repro.batch.BatchCheckpoint.merge_shards`) -- so reports and
 checkpoint bytes are byte-identical to a serial run at any worker
 count, any chunk size, and any dispatch interleaving.
@@ -70,6 +73,7 @@ serial engine, :func:`repro.batch.convert_serially`.
 
 from __future__ import annotations
 
+import gc
 import logging
 import pickle
 import random
@@ -164,8 +168,10 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
 
     Rehydrates the pickled cascade exactly once (unpickling
     re-registers the engine metrics bundles into *this* process's
-    registry, see :meth:`repro.engine.metrics.Metrics.__setstate__`),
-    then serves ``begin`` / ``chunk`` / ``exit`` messages until told to
+    registry, see :meth:`repro.engine.metrics.Metrics.__setstate__`)
+    and moves it into the collector's permanent generation
+    (:func:`gc.freeze`; only a worker does this, never the caller's
+    process), then serves ``begin`` / ``chunk`` / ``exit`` messages until told to
     stop.  ``begin`` brings the batch's pickled options, which convert
     its chunks and name the worker's shard (``options.checkpoint``).
     Each chunk result carries, besides the chunk's summaries, the
@@ -187,6 +193,10 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
 
     mark_worker_process(_drain_results)
     cascade = pickle.loads(seed_blob)
+    # The cascade lives as long as the worker: freeze it, with every
+    # module the spawn imported, so full collections stop rescanning it.
+    gc.collect()
+    gc.freeze()
     registry = get_registry()
 
     options: ConversionOptions | None = None

@@ -584,18 +584,40 @@ def children_of(stmt: Stmt) -> tuple[tuple[Stmt, ...], ...]:
 
 
 def walk(statements: tuple[Stmt, ...]) -> Iterator[Stmt]:
-    """Yield every statement in a block, depth-first, pre-order."""
-    for stmt in statements:
-        yield stmt
-        for block in children_of(stmt):
-            yield from walk(block)
+    """Yield every statement in a block, depth-first, pre-order.
+
+    One generator over an explicit stack of block iterators, so a
+    statement nested ``n`` levels deep is not passed up through ``n``
+    generators; the compound statements are told apart by exact type
+    (no AST class has a subclass)."""
+    return _walk_blocks([iter(statements)])
 
 
 def walk_program(program: Program) -> Iterator[Stmt]:
-    """Walk the main block and every procedure body."""
-    yield from walk(program.statements)
-    for procedure in program.procedures:
-        yield from walk(procedure.body)
+    """Walk the main block and every procedure body, in that order."""
+    stack = [iter(procedure.body) for procedure in reversed(program.procedures)]
+    stack.append(iter(program.statements))
+    return _walk_blocks(stack)
+
+
+#: The statement classes that hold nested blocks.
+_COMPOUND = frozenset((If, While, ForEachRow))
+
+
+def _walk_blocks(stack: list[Iterator[Stmt]]) -> Iterator[Stmt]:
+    """Pre-order walk of the blocks on ``stack``, top first."""
+    while stack:
+        for stmt in stack[-1]:
+            yield stmt
+            kind = type(stmt)
+            if kind in _COMPOUND:
+                if kind is If:
+                    stack += (iter(stmt.orelse), iter(stmt.then))
+                else:
+                    stack.append(iter(stmt.body))
+                break
+        else:
+            stack.pop()
 
 
 def transform_block(statements: tuple[Stmt, ...],

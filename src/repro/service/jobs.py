@@ -656,6 +656,12 @@ class JobManager:
             try:
                 self._execute(job)
             except Exception:
+                if job.terminal:
+                    # A terminal state is final: its event went out, and
+                    # only its manifest is missing (the spool's
+                    # ``running`` restores as ``interrupted``).
+                    log.exception("service: cannot write %s's manifest", job.id)
+                    continue
                 log.exception("service: executor crashed on %s", job.id)
                 try:
                     job.set_state(STATE_FAILED, error="internal executor fault")

@@ -1,7 +1,13 @@
 """Unit tests for dataflow, pathology detection, and procedural
 constraint detection (Sections 3.2 and 5.3)."""
 
+from dataclasses import replace
+
+from hypothesis import given, settings, strategies as st
+
 from repro.analysis import (
+    Finding,
+    assigned_variables,
     constant_value,
     detect_order_dependence,
     detect_pathologies,
@@ -12,10 +18,12 @@ from repro.analysis import (
     input_tainted_variables,
     is_runtime_constant,
 )
+from repro.analysis.variability import VERB_VARIABILITY_DETAIL
 from repro.programs import ast
 from repro.programs import builder as b
 from repro.schema import CardinalityLimit, ExistenceConstraint
 from repro.workloads.corpus import CorpusSpec, generate_corpus
+from tests.test_programs_parser import CONSTS, IDENTS, PAIRS, programs
 
 
 class TestDataflow:
@@ -89,6 +97,126 @@ class TestVerbVariability:
             b.generic_call(b.v("V"), "EMP"),
         ])
         assert detect_verb_variability(program) == []
+
+
+# -- the check as it was defined before its one-frame rewrite ----------
+
+
+def reference_walk(statements):
+    """Pre-order walk through one generator per nesting level."""
+    for stmt in statements:
+        yield stmt
+        for block in ast.children_of(stmt):
+            yield from reference_walk(block)
+
+
+def reference_counts(program):
+    """Every variable's binding count, by isinstance dispatch."""
+    counts = {}
+
+    def bump(name, times):
+        counts[name] = counts.get(name, 0) + times
+
+    def visit(statements, in_loop):
+        weight = 2 if in_loop else 1
+        for stmt in statements:
+            if isinstance(stmt, ast.Assign):
+                bump(stmt.var, weight)
+            elif isinstance(stmt, (ast.ReadTerminal, ast.ReadFile)):
+                bump(stmt.var, weight)
+            elif isinstance(stmt, ast.RelQuery):
+                bump(stmt.into_var, weight)
+            elif isinstance(stmt, ast.NetGet):
+                bump(f"{stmt.record}.*", weight)
+            elif isinstance(stmt, ast.If):
+                visit(stmt.then, in_loop)
+                visit(stmt.orelse, in_loop)
+            elif isinstance(stmt, ast.While):
+                visit(stmt.body, True)
+            elif isinstance(stmt, ast.ForEachRow):
+                bump(f"{stmt.row_var}.*", 2)
+                visit(stmt.body, True)
+
+    visit(program.statements, False)
+    for procedure in program.procedures:
+        visit(procedure.body, True)
+    return counts
+
+
+def reference_constant(program, expr):
+    """Bindings counted again for every variable asked about."""
+    if isinstance(expr, ast.Const):
+        return True
+    if isinstance(expr, ast.Var):
+        if reference_counts(program).get(expr.name, 0) != 1:
+            return False
+        for stmt in program.statements:
+            if isinstance(stmt, ast.Assign) and stmt.var == expr.name:
+                return isinstance(stmt.expr, ast.Const)
+        return False
+    if isinstance(expr, ast.Bin):
+        return (reference_constant(program, expr.left)
+                and reference_constant(program, expr.right))
+    return False
+
+
+def reference_verb_variability(program):
+    statements = list(reference_walk(program.statements))
+    for procedure in program.procedures:
+        statements += reference_walk(procedure.body)
+    return [
+        Finding("verb-variability", stmt.render(), VERB_VARIABILITY_DETAIL,
+                blocking=True)
+        for stmt in statements
+        if isinstance(stmt, ast.NetGenericCall)
+        and not reference_constant(program, stmt.verb)
+    ]
+
+
+@st.composite
+def verb_programs(draw, names=("VERB", "A", "B-1")):
+    """A generated program given a top-level ``MOVE literal TO name``
+    and generic calls whose verb is ``name``: bound nowhere else when
+    ``name`` is ``VERB`` (the constant branch), maybe re-bound when it
+    is one of the generator's own variables."""
+    program = draw(programs())
+    name = draw(st.sampled_from(names))
+    statements = list(program.statements)
+    statements.insert(draw(st.integers(0, len(statements))),
+                      ast.Assign(name, draw(CONSTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        call = ast.NetGenericCall(ast.Var(name), draw(IDENTS), draw(PAIRS))
+        statements.insert(draw(st.integers(0, len(statements))), call)
+    return replace(program, statements=tuple(statements))
+
+
+class TestOneFrameVerbCheck:
+    """The explicit-stack walk and the once-per-program binding count
+    find what the old definition found, in the same order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(programs(), verb_programs()))
+    def test_findings_match_the_old_definition(self, program):
+        assert detect_verb_variability(program) == \
+            reference_verb_variability(program)
+        assert list(ast.walk_program(program)) == list(reference_walk(
+            program.statements)) + [
+            stmt for procedure in program.procedures
+            for stmt in reference_walk(procedure.body)]
+        counts = reference_counts(program)
+        assert assigned_variables(program, counts) == counts
+        assert assigned_variables(program, {"VERB", "A", "Q"}) == {
+            name: count for name, count in counts.items()
+            if name in ("VERB", "A", "Q")}
+
+    @settings(max_examples=50, deadline=None)
+    @given(verb_programs(names=("VERB",)))
+    def test_a_lone_literal_binding_is_constant(self, program):
+        # No generated variable is named VERB: its one top-level MOVE
+        # is its only binding, so none of its calls is flagged.
+        findings = detect_verb_variability(program)
+        assert not [f for f in findings if "DML(VERB," in f.statement]
+        assert findings == reference_verb_variability(program)
 
 
 class TestOrderDependence:

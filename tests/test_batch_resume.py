@@ -6,8 +6,10 @@ import json
 import pytest
 
 from repro.batch import BatchCheckpoint, CheckpointError, run_batch
+from repro.core import report as report_module
 from repro.core.report import (
     BatchReport,
+    ConversionReport,
     FaultContext,
     STATUS_ASSISTED,
     STATUS_AUTOMATIC,
@@ -160,6 +162,46 @@ class TestCheckpointResume:
                             consistent=False)
         cascade.target_db.rollback(savepoint)
         assert "HIRED" in trace.terminal_lines()
+
+    def test_a_summary_report_keeps_its_text_unparsed(self, cascade,
+                                                      monkeypatch):
+        """A report read back from a summary writes the summary back
+        out and counts as converted without parsing its target."""
+        batch = run_batch(cascade, [hire_program(),
+                                    variable_verb_program()])
+        summaries = [r.to_summary() for r in batch.reports]
+        assert summaries[0]["target_text"] is not None
+
+        def refuse(text):
+            raise AssertionError("parsed a kept target text")
+
+        monkeypatch.setattr(report_module, "parse_program", refuse)
+        for summary, original in zip(summaries, batch.reports):
+            report = ConversionReport.from_summary(summary)
+            assert report.to_summary() == summary
+            assert report.converted == original.converted
+            assert report.rendered_target() == summary["target_text"]
+
+    def test_a_kept_text_is_parsed_on_first_read_only(self, cascade,
+                                                      monkeypatch):
+        summary = run_batch(cascade, [hire_program()]).reports[0] \
+            .to_summary()
+        parses = []
+        parse = report_module.parse_program
+
+        def counting(text):
+            parses.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(report_module, "parse_program", counting)
+        report = ConversionReport.from_summary(summary)
+        assert parses == []
+        assert report.target_program == parse(summary["target_text"])
+        assert report.target_program is report.target_program
+        assert parses == [summary["target_text"]]
+        # Setting the target drops the kept text.
+        report.target_program = None
+        assert report.to_summary()["target_text"] is None
 
     def test_checkpoint_for_different_batch_refused(self, cascade,
                                                     tmp_path):

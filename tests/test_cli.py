@@ -289,6 +289,37 @@ def test_convert_batch_checkpoint_and_out_dir(batch_artifacts, capsys):
     assert "STORE" in (out_dir / "HIRE.cob").read_text()
 
 
+def test_convert_batch_out_dir_writes_the_kept_texts(batch_artifacts,
+                                                    monkeypatch, capsys):
+    """--out-dir writes a resumed report's kept summary text, parsing
+    nothing: the same bytes the first run rendered, because the
+    render/parse round trip is exact."""
+    from repro.core import report as report_module
+
+    checkpoint = batch_artifacts["dir"] / "batch.json"
+    args = ["convert", "--ddl", batch_artifacts["ddl"],
+            "--spec", batch_artifacts["spec"],
+            "--program", batch_artifacts["program"],
+            "--program", batch_artifacts["hire"],
+            "--data", batch_artifacts["data"],
+            "--checkpoint", str(checkpoint)]
+    rendered = batch_artifacts["dir"] / "rendered"
+    assert main(args + ["--out-dir", str(rendered)]) == 0
+
+    def refuse(text):
+        raise AssertionError("parsed a kept target text")
+
+    monkeypatch.setattr(report_module, "parse_program", refuse)
+    kept = batch_artifacts["dir"] / "kept"
+    assert main(args + ["--resume", "--out-dir", str(kept)]) == 0
+    capsys.readouterr()
+    names = sorted(path.name for path in rendered.iterdir())
+    assert names == ["HIRE.cob", "REPORT.cob"]
+    assert sorted(path.name for path in kept.iterdir()) == names
+    for name in names:
+        assert (kept / name).read_bytes() == (rendered / name).read_bytes()
+
+
 def test_convert_batch_resume_completes_remainder(batch_artifacts, capsys):
     """Truncating the journal (a simulated kill) and re-running with
     --resume converts only the unfinished program and exits 0."""

@@ -10,6 +10,7 @@ transcripts -- at every jobs count and pathology rate.
 
 import pytest
 
+from repro.analysis import dataflow
 from repro.analysis.variability import VERB_VARIABILITY_DETAIL
 from repro.batch import run_batch
 from repro.core.abstract import ACond, ALocate, AbstractProgram, walk
@@ -121,6 +122,41 @@ class TestPredictor:
         ])
         assert CostPredictor().predict(program) == \
             (VERB_VARIABILITY_DETAIL,) * 2
+
+    def test_bindings_are_counted_once_per_program(self, monkeypatch):
+        """Fifty calls over one verb variable and a 2,000-statement
+        block: the check walks the program's bindings once, not once
+        per call (the verb's top-level MOVE makes it a candidate; the
+        ACCEPT in the block re-binds it), and not at all for a verb
+        with no top-level MOVE literal."""
+        block = [b.assign(f"W{j:04d}", j) for j in range(2000)]
+        calls = [b.generic_call(b.v("REQUEST"), "EMP",
+                                **{"EMP-NAME": f"X{j}"})
+                 for j in range(50)]
+        program = b.program("MANY-CALLS", "network", "C", [
+            b.assign("REQUEST", "STORE"),
+            *calls,
+            b.if_(b.eq(b.v("FLAG"), 1), [*block, b.accept("REQUEST")]),
+        ])
+        walks = []
+        count = dataflow.assigned_variables
+
+        def counting(*args, **kwargs):
+            walks.append(args[0].name)
+            return count(*args, **kwargs)
+
+        monkeypatch.setattr(dataflow, "assigned_variables", counting)
+        assert CostPredictor().predict(program) == \
+            (VERB_VARIABILITY_DETAIL,) * 50
+        assert walks == ["MANY-CALLS"]
+        # The bulk-sweep shape: the verb comes from an ACCEPT and has no
+        # top-level MOVE literal, so no binding is counted at all.
+        sweep = generate_inventory(InventorySpec(
+            programs=120, pathology_rate=0.5, sweep_statements=2000))
+        bulk = next(item.program for item in sweep
+                    if item.kind == "bulk-sweep")
+        assert CostPredictor().predict(bulk) == (VERB_VARIABILITY_DETAIL,)
+        assert walks == ["MANY-CALLS"]
 
 
 class TestOptimizerCalcLocate:

@@ -522,8 +522,8 @@ def test_a_failed_cascade_build_leaves_the_warm_pool_open(
 def test_an_unwritable_manifest_still_ends_the_stream(tmp_path, monkeypatch):
     """A transition's ``job`` event is appended before its manifest is
     written, so a job whose manifest cannot be written from
-    ``completed`` on still ends for its follower, and the executor
-    goes on to the next job."""
+    ``completed`` on still ends for its follower, stays ``completed``,
+    and the executor goes on to the next job."""
     write = jobs_mod.write_json_atomic
     stuck = tmp_path / "spool" / "job-000001" / "job.json"
 
@@ -552,9 +552,25 @@ def test_an_unwritable_manifest_still_ends_the_stream(tmp_path, monkeypatch):
         assert wait_terminal(second) == jobs_mod.STATE_COMPLETED
     finally:
         manager.stop()
-    assert states[:3] == [jobs_mod.STATE_QUEUED, jobs_mod.STATE_RUNNING,
-                          jobs_mod.STATE_COMPLETED]
-    assert first.terminal
+    # A terminal state is final: the failed manifest write does not
+    # turn the completed job ``failed`` after its event went out.
+    assert states == [jobs_mod.STATE_QUEUED, jobs_mod.STATE_RUNNING,
+                      jobs_mod.STATE_COMPLETED]
+    assert first.state == jobs_mod.STATE_COMPLETED
+    # The spool still says ``running``: a restart restores the job as
+    # ``interrupted``, and its resume converts nothing.
+    monkeypatch.undo()
+    restarted = JobManager(tmp_path / "spool")
+    try:
+        assert restarted.jobs[first.id].state == jobs_mod.STATE_INTERRUPTED
+        resumed = restarted.resume_job(first.id)
+        assert wait_terminal(resumed) == jobs_mod.STATE_COMPLETED
+        narrated = [data for _seq, name, data in resumed.events
+                    if name == "program"]
+        assert len(narrated) == 2
+        assert all(data.get("resumed") for data in narrated)
+    finally:
+        restarted.stop()
 
 
 def test_every_job_emits_its_own_counters(tmp_path):
