@@ -16,14 +16,21 @@ path *ambiguous* -- multiple distinct paths, which Figure 4.1 says the
 supervisor must resolve interactively ("if ... multiple data paths can
 be found to carry out an access then these issues can be resolved
 interactively").
+
+The search is the standard library's alone: an adjacency map of record
+types (neighbours in first-insertion order, one entry however many
+sets join a pair) and a depth-first enumeration of simple node paths,
+each expanded into one hop list per choice of parallel set.
+``shortest_path`` raises :class:`~repro.errors.NoAccessPath` when two
+record types are not connected within the hop limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-import networkx as nx
-
+from repro.errors import NoAccessPath
 from repro.relational.database import fk_columns
 from repro.schema.model import Schema
 
@@ -60,14 +67,17 @@ class AccessPathGraph:
 
     def __init__(self, schema: Schema):
         self.schema = schema
-        self.graph = nx.MultiGraph()
-        for record_name in schema.records:
-            self.graph.add_node(record_name)
+        # record type -> neighbouring record types, in the order the
+        # schema first joins them; parallel sets share one entry.
+        self.adjacent: dict[str, dict[str, None]] = {
+            record_name: {} for record_name in schema.records
+        }
         for set_type in schema.sets.values():
             if set_type.system_owned:
                 continue
-            self.graph.add_edge(set_type.owner, set_type.member,
-                                key=set_type.name)
+            owner, member = set_type.owner, set_type.member
+            self.adjacent.setdefault(owner, {})[member] = None
+            self.adjacent.setdefault(member, {})[owner] = None
 
     def paths(self, source: str, target: str,
               max_hops: int = 6) -> list[list[PathHop]]:
@@ -77,18 +87,31 @@ class AccessPathGraph:
         if source == target:
             return [[]]
         found: list[list[PathHop]] = []
-        seen_node_paths: set[tuple[str, ...]] = set()
-        for node_path in nx.all_simple_paths(self.graph, source, target,
-                                             cutoff=max_hops):
-            # A multigraph yields one node path per parallel-edge
-            # combination; parallel sets are enumerated in
-            # _expand_edges, so deduplicate the node paths here.
-            key = tuple(node_path)
-            if key in seen_node_paths:
-                continue
-            seen_node_paths.add(key)
+        for node_path in self._node_paths(source, target, max_hops):
             found.extend(self._expand_edges(node_path))
         return found
+
+    def _node_paths(self, source: str, target: str,
+                    max_hops: int) -> Iterator[list[str]]:
+        """Simple node paths of at most ``max_hops`` edges, depth first.
+
+        Neighbours are tried in adjacency order and a path stops at
+        ``target``, so no node path is found twice.
+        """
+        if max_hops < 1:
+            return
+        path = [source]
+        pending = [iter(self.adjacent[source])]
+        while pending:
+            node = next((n for n in pending[-1] if n not in path), None)
+            if node is None:
+                pending.pop()
+                path.pop()
+            elif node == target:
+                yield path + [node]
+            elif len(path) < max_hops:
+                path.append(node)
+                pending.append(iter(self.adjacent[node]))
 
     def _expand_edges(self, node_path: list[str]) -> list[list[PathHop]]:
         """A node path may cross parallel sets; enumerate each choice."""
@@ -119,7 +142,7 @@ class AccessPathGraph:
         """The (hop-count) shortest path; raises when none exists."""
         candidates = self.paths(source, target)
         if not candidates:
-            raise nx.NetworkXNoPath(
+            raise NoAccessPath(
                 f"no access path between {source} and {target}"
             )
         return min(candidates, key=len)

@@ -66,6 +66,11 @@ class UnknownSetType(SchemaError):
     """A set type name is not declared in the schema."""
 
 
+class NoAccessPath(SchemaError):
+    """No chain of associations joins two record types within the hop
+    limit (the Section 4.1 access path graph)."""
+
+
 # ---------------------------------------------------------------------------
 # Integrity
 # ---------------------------------------------------------------------------

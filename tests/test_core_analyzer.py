@@ -15,7 +15,7 @@ from repro.core import (
 )
 from repro.core.abstract import AErase, AModify, render_abstract, walk
 from repro.core.access_patterns import render_sequence
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, NoAccessPath
 from repro.programs import ast
 from repro.programs import builder as b
 from repro.workloads import florida
@@ -266,9 +266,8 @@ class TestAccessPathGraph:
         schema.define_record("LONER", {"X": "X(1)"})
         graph = AccessPathGraph(schema)
         assert graph.paths("DIV", "LONER") == []
-        import networkx as nx
-
-        with pytest.raises(nx.NetworkXNoPath):
+        with pytest.raises(NoAccessPath,
+                           match="no access path between DIV and LONER"):
             graph.shortest_path("DIV", "LONER")
 
     def test_entry_points(self, company_schema):
