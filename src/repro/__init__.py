@@ -53,7 +53,7 @@ from repro.errors import (
 from repro.options import ConversionOptions
 from repro.parallel import ParallelExecutionError, ParallelExecutor, WorkerPool
 
-__version__ = "13.0.0"
+__version__ = "14.0.0"
 
 __all__ = [
     # -- facade (repro.api) -------------------------------------------

@@ -34,7 +34,8 @@ Design:
   bumps its generation, so an in-flight generation-checked scan fails
   loudly instead of resuming over restored state, and derived caches
   (the hierarchical preorder, the relational position maps) are
-  dropped.
+  dropped.  The log holds its hooks weakly, so a dropped database is
+  freed at once, not by the cyclic collector.
 
 Metrics are never restored: a rolled-back probe still did the work it
 did.
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import weakref
 from dataclasses import dataclass, field
 from itertools import count, islice
 from typing import Any, Callable, Hashable
@@ -91,11 +93,25 @@ class UndoLog:
         #: is open, which tells every mutator not to log.
         self.entries: list[tuple] | None = None
         self._open: list[Savepoint] = []
-        self._settle: list[Callable[[], None]] = []
+        self._settle: list[weakref.WeakMethod] = []
 
     def on_rollback(self, hook: Callable[[], None]) -> None:
-        """Call ``hook`` after every rollback, once the undo is done."""
-        self._settle.append(hook)
+        """Call ``hook``, a bound method, after every rollback, once the
+        undo is done.  It is held weakly: the structure it belongs to
+        holds this log, and a strong reference back would make every
+        database a cycle that only the cyclic collector can free."""
+        self._settle.append(weakref.WeakMethod(hook))
+
+    def __getstate__(self) -> dict[str, Any]:
+        # A weak reference does not pickle; the bound method does.
+        state = dict(self.__dict__)
+        state["_settle"] = [hook() for hook in self._settle]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._settle = [weakref.WeakMethod(hook)
+                        for hook in self._settle if hook is not None]
 
     def savepoint(self, kind: str, owner: object) -> Savepoint:
         """Mark the log; from now until the savepoint ends, mutations
@@ -117,7 +133,9 @@ class UndoLog:
             undo(*args)
         self._end(depth)
         for hook in self._settle:
-            hook()
+            settle = hook()
+            if settle is not None:
+                settle()
 
     def release(self, savepoint: Savepoint, kind: str,
                 owner: object) -> None:

@@ -11,8 +11,11 @@ so the model keeps the full table explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.schema.model import Schema
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.network.database import NetworkDatabase
+    from repro.schema.model import Schema
 
 
 @dataclass(frozen=True)
@@ -35,22 +38,22 @@ class CurrencyTable:
     records: dict[str, CurrencyPosition] = field(default_factory=dict)
     sets: dict[str, CurrencyPosition] = field(default_factory=dict)
 
-    def note(self, schema: Schema, record_name: str, rid: int,
-             retain_sets: frozenset[str] = frozenset()) -> None:
+    def note(self, schema: Schema | NetworkDatabase, record_name: str,
+             rid: int, retain_sets: frozenset[str] = frozenset()) -> None:
         """Register a successful access to (record_name, rid).
 
         Updates run-unit, record-type, and set currencies, except for
         sets named in ``retain_sets`` (the DBTG ``RETAINING CURRENCY``
         option, which converted programs sometimes need to preserve
-        source navigation behavior).
+        source navigation behavior).  ``schema.sets_of`` names the sets
+        concerned: a :class:`~repro.schema.model.Schema` searches its
+        sets, a database (what the DML session passes) looks them up.
         """
         position = CurrencyPosition(record_name, rid)
         self.run_unit = position
         self.records[record_name] = position
-        for set_type in schema.sets.values():
-            if set_type.name in retain_sets:
-                continue
-            if record_name in (set_type.owner, set_type.member):
+        for set_type in schema.sets_of(record_name):
+            if set_type.name not in retain_sets:
                 self.sets[set_type.name] = position
 
     def forget_record(self, record_name: str, rid: int) -> None:

@@ -17,7 +17,7 @@ from repro.errors import (
 )
 from repro.network.sets import SetStore
 from repro.schema.constraints import Violation, check_all
-from repro.schema.model import Retention, Schema, SetType
+from repro.schema.model import Field, Retention, Schema, SetType
 
 
 class NetworkDatabase:
@@ -40,8 +40,15 @@ class NetworkDatabase:
             for name in schema.records
         }
         self._sets: dict[str, SetStore] = {
-            name: SetStore(set_type, self, self._undo)
+            name: SetStore(set_type, self._stores[set_type.member],
+                           self._undo)
             for name, set_type in schema.sets.items()
+        }
+        # The sets each record type owns or belongs to: the only ones a
+        # verb on one of its records can touch.  Built once, since the
+        # schema never changes under a database.
+        self._sets_of: dict[str, tuple[SetType, ...]] = {
+            name: tuple(schema.sets_of(name)) for name in schema.records
         }
         self._calc: dict[str, HashIndex] = {}
         for name, record in schema.records.items():
@@ -54,19 +61,27 @@ class NetworkDatabase:
     # -- low-level access -------------------------------------------------
 
     def store(self, record_name: str) -> RecordStore:
-        self.schema.record(record_name)
-        return self._stores[record_name]
+        store = self._stores.get(record_name)
+        if store is None:
+            self.schema.record(record_name)  # raises UnknownRecordType
+        return store
 
     def set_store(self, set_name: str) -> SetStore:
-        self.schema.set_type(set_name)
-        return self._sets[set_name]
+        set_store = self._sets.get(set_name)
+        if set_store is None:
+            self.schema.set_type(set_name)  # raises UnknownSetType
+        return set_store
+
+    def sets_of(self, record_name: str) -> tuple[SetType, ...]:
+        """:meth:`Schema.sets_of <repro.schema.model.Schema.sets_of>`,
+        looked up instead of searched."""
+        return self._sets_of.get(record_name, ())
 
     def calc_index(self, record_name: str) -> HashIndex | None:
         return self._calc.get(record_name)
 
     def _calc_key(self, record_name: str, values: dict[str, Any]) -> tuple:
-        record_type = self.schema.record(record_name)
-        return tuple(values.get(key) for key in record_type.calc_keys)
+        return tuple(map(values.get, self.schema.record(record_name).calc_keys))
 
     # -- record lifecycle ---------------------------------------------------
 
@@ -102,10 +117,8 @@ class NetworkDatabase:
         if index is not None:
             calc_keys = record_type.calc_keys
             for record in records:
-                index.insert(
-                    tuple(record.values.get(key) for key in calc_keys),
-                    record.rid,
-                )
+                index.insert(tuple(map(record.values.get, calc_keys)),
+                             record.rid)
         return records
 
     def update_record(self, record_name: str, rid: int,
@@ -123,12 +136,11 @@ class NetworkDatabase:
                 index.remove(old_key, rid)
                 index.insert(new_key, rid)
         # Re-sort any set occurrence whose order keys were touched.
-        for set_store in self._sets.values():
-            set_type = set_store.set_type
+        for set_type in self._sets_of[record_name]:
             if set_type.member != record_name:
                 continue
             if any(key in checked for key in set_type.order_keys):
-                set_store.reposition(rid)
+                self._sets[set_type.name].reposition(rid)
         return record
 
     def delete_record(self, record_name: str, rid: int,
@@ -145,8 +157,9 @@ class NetworkDatabase:
         every MANDATORY occurrence is checked before the first
         disconnect.
         """
-        owned = [set_store for set_store in self._sets.values()
-                 if set_store.set_type.owner == record_name]
+        touched = self._sets_of[record_name]
+        owned = [self._sets[set_type.name] for set_type in touched
+                 if set_type.owner == record_name]
         if not all_members:
             for set_store in owned:
                 set_type = set_store.set_type
@@ -164,9 +177,9 @@ class NetworkDatabase:
                     self.delete_record(set_store.set_type.member, member_rid,
                                        all_members=True)
         # Leave every set this record belongs to as a member.
-        for set_store in self._sets.values():
-            if set_store.set_type.member == record_name:
-                set_store.disconnect(rid)
+        for set_type in touched:
+            if set_type.member == record_name:
+                self._sets[set_type.name].disconnect(rid)
         store = self._stores[record_name]
         old = store.peek(rid)
         store.delete(rid)
@@ -241,10 +254,12 @@ class NetworkDatabase:
 
     def read_field(self, record: Record, field_name: str) -> Any:
         """Field access resolving VIRTUAL fields through their set."""
-        record_type = self.schema.record(record.type_name)
-        fld = record_type.field(field_name)
+        fld = self.schema.record(record.type_name).field(field_name)
         if not fld.is_virtual:
-            return record.get(field_name)
+            return record.values.get(field_name)
+        return self._read_virtual(record, fld)
+
+    def _read_virtual(self, record: Record, fld: Field) -> Any:
         owner = self.owner_record(fld.virtual_via, record.rid)
         if owner is None:
             return None
@@ -254,11 +269,14 @@ class NetworkDatabase:
 
     def record_values(self, record: Record) -> dict[str, Any]:
         """All field values of a record, virtuals resolved."""
-        record_type = self.schema.record(record.type_name)
-        return {
-            fld.name: self.read_field(record, fld.name)
-            for fld in record_type.fields
-        }
+        stored = record.values
+        values: dict[str, Any] = {}
+        for fld in self.schema.record(record.type_name).fields:
+            if fld.is_virtual:
+                values[fld.name] = self._read_virtual(record, fld)
+            else:
+                values[fld.name] = stored.get(fld.name)
+        return values
 
     # -- integrity ---------------------------------------------------------
 

@@ -58,7 +58,7 @@ class DMLSession:
     def _ok(self, record: Record,
             retain_sets: frozenset[str] = frozenset()) -> Record:
         self.status = STATUS_OK
-        self.currency.note(self.db.schema, record.type_name, record.rid,
+        self.currency.note(self.db, record.type_name, record.rid,
                            retain_sets)
         return record
 
@@ -73,11 +73,21 @@ class DMLSession:
             return None
         return self.db.store(position.record_name).peek(position.rid)
 
-    def current_matches(self, record_name: str) -> bool:
-        """Is the current of run-unit an instance of ``record_name``?
-        (Overridden by emulation layers that rename record types.)"""
+    def current_of(self, record_name: str) -> Record | None:
+        """The current of run-unit, if it is an instance of
+        ``record_name``.  (Overridden by emulation layers that rename
+        record types.)"""
         record = self.current_record()
-        return record is not None and record.type_name == record_name
+        if record is not None and record.type_name == record_name:
+            return record
+        return None
+
+    @staticmethod
+    def _check_member(set_type: SetType, record_name: str) -> None:
+        if set_type.member != record_name:
+            raise CurrencyError(
+                f"{record_name} is not the member of set {set_type.name}"
+            )
 
     def _set_position(self, set_name: str) -> tuple[SetType, int | None]:
         """Resolve the current of set into (set type, owner rid)."""
@@ -133,10 +143,7 @@ class DMLSession:
         set_type, owner_rid = self._set_position(set_name)
         if owner_rid is None:
             return self._miss(STATUS_NO_CURRENCY)
-        if set_type.member != record_name:
-            raise CurrencyError(
-                f"{record_name} is not the member of set {set_name}"
-            )
+        self._check_member(set_type, record_name)
         self.db.metrics.set_traversals += 1
         first_rid = self.db.set_store(set_name).first(owner_rid)
         if first_rid is None:
@@ -149,6 +156,7 @@ class DMLSession:
         set_type, owner_rid = self._set_position(set_name)
         if owner_rid is None:
             return self._miss(STATUS_NO_CURRENCY)
+        self._check_member(set_type, record_name)
         self.db.metrics.set_traversals += 1
         last_rid = self.db.set_store(set_name).last(owner_rid)
         if last_rid is None:
@@ -167,6 +175,7 @@ class DMLSession:
                 and position.record_name != set_type.member):
             # Positioned on the owner: NEXT means FIRST.
             return self.find_first(record_name, set_name)
+        self._check_member(set_type, record_name)
         self.db.metrics.set_traversals += 1
         next_rid = self.db.set_store(set_name).next_after(position.rid)
         if next_rid is None:
@@ -182,6 +191,7 @@ class DMLSession:
             return self._miss(STATUS_NO_CURRENCY)
         if position.record_name == set_type.owner:
             return self.find_last(record_name, set_name)
+        self._check_member(set_type, record_name)
         self.db.metrics.set_traversals += 1
         prior_rid = self.db.set_store(set_name).prior_before(position.rid)
         if prior_rid is None:
@@ -241,13 +251,16 @@ class DMLSession:
 
     # -- GET ------------------------------------------------------------------
 
-    def get(self) -> dict[str, Any] | None:
+    def get(self, record: Record | None = None) -> dict[str, Any] | None:
         """GET: read the current of run-unit into the UWA (virtual
-        fields resolved through their sets), returning the values."""
+        fields resolved through their sets), returning the values.
+        ``record`` is the current of run-unit when the caller has
+        already resolved it (:meth:`current_of`)."""
         self.db.metrics.dml_calls += 1
-        record = self.current_record()
         if record is None:
-            return self._miss(STATUS_NO_CURRENCY)
+            record = self.current_record()
+            if record is None:
+                return self._miss(STATUS_NO_CURRENCY)
         self.db.store(record.type_name).fetch(record.rid)  # count the read
         values = self.db.record_values(record)
         self.uwa[record.type_name].update(values)

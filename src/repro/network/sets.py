@@ -9,15 +9,11 @@ rid 0.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.engine.ordering import orderable
 from repro.engine.savepoint import UndoLog, key_position, reinsert
+from repro.engine.storage import Record, RecordStore
 from repro.errors import IntegrityError, UniquenessViolation
 from repro.schema.model import SetType
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.network.database import NetworkDatabase
 
 #: Owner rid of the single occurrence of a SYSTEM-owned set.
 SYSTEM_OWNER_RID = 0
@@ -26,10 +22,11 @@ SYSTEM_OWNER_RID = 0
 class SetStore:
     """Occurrences of one set type."""
 
-    def __init__(self, set_type: SetType, db: "NetworkDatabase",
+    def __init__(self, set_type: SetType, member_store: RecordStore,
                  undo: UndoLog):
         self.set_type = set_type
-        self._db = db
+        #: The member record type's store, where order keys are read.
+        self._member_store = member_store
         self._owner_of: dict[int, int] = {}          # member rid -> owner rid
         # owner rid -> member rids; key order (occurrence creation) is
         # what owners() returns, and no occurrence is ever empty.
@@ -38,24 +35,35 @@ class SetStore:
         self._next_seq = 0
         #: The database's undo log (see :mod:`repro.engine.savepoint`).
         self._undo = undo
+        #: Position of the member the last navigation returned.  Only a
+        #: hint: it is used where the occurrence still holds the member
+        #: there, since a rollback rewrites occurrences in place.
+        self._last_position = 0
 
     # -- internals ------------------------------------------------------
 
     def _order_key(self, member_rid: int) -> tuple:
         """Sort key of a member: order-key field values, then arrival."""
-        record = self._db.store(self.set_type.member).peek(member_rid)
-        values = tuple(
-            record.get(key) if record is not None else None
-            for key in self.set_type.order_keys
-        )
-        return (orderable(values), self._seq.get(member_rid, 0))
+        return (orderable(self._key_values(member_rid)),
+                self._seq.get(member_rid, 0))
 
     def _key_values(self, member_rid: int) -> tuple:
-        record = self._db.store(self.set_type.member).peek(member_rid)
-        return tuple(
-            record.get(key) if record is not None else None
-            for key in self.set_type.order_keys
-        )
+        return self._values_of(self._member_store.peek(member_rid))
+
+    def _values_of(self, record: Record | None) -> tuple:
+        """A member record's order-key field values."""
+        if record is None:
+            return (None,) * len(self.set_type.order_keys)
+        return tuple(map(record.values.get, self.set_type.order_keys))
+
+    def _position(self, occurrence: list[int], member_rid: int) -> int:
+        """Where ``member_rid`` sits in ``occurrence``: O(1) when the
+        last navigation left it there (a scan's next step), else found
+        by search."""
+        position = self._last_position
+        if position < len(occurrence) and occurrence[position] == member_rid:
+            return position
+        return occurrence.index(member_rid)
 
     # -- mutation ---------------------------------------------------------
 
@@ -115,18 +123,25 @@ class SetStore:
                 )
             arriving.add(member_rid)
         occurrence = self._members.get(owner_rid)
-        if self.set_type.order_keys and not self.set_type.allow_duplicates:
-            seen = {self._key_values(existing)
-                    for existing in occurrence or ()}
-            for member_rid in member_rids:
-                new_key = self._key_values(member_rid)
-                if new_key in seen:
-                    raise UniquenessViolation(
-                        f"set {self.set_type.name}: duplicate set key "
-                        f"{new_key!r} within occurrence of owner "
-                        f"{owner_rid}"
-                    )
-                seen.add(new_key)
+        ordered = bool(self.set_type.order_keys)
+        if ordered:
+            # Every member's order-key values, read once for both the
+            # duplicate check and the sort: the occurrence's members,
+            # then the arriving ones.
+            peek = self._member_store.peek
+            keys = [self._values_of(peek(rid)) for rid in occurrence or ()]
+            existing = len(keys)
+            keys.extend(self._values_of(peek(rid)) for rid in member_rids)
+            if not self.set_type.allow_duplicates:
+                seen = set(keys[:existing])
+                for new_key in keys[existing:]:
+                    if new_key in seen:
+                        raise UniquenessViolation(
+                            f"set {self.set_type.name}: duplicate set key "
+                            f"{new_key!r} within occurrence of owner "
+                            f"{owner_rid}"
+                        )
+                    seen.add(new_key)
         log = self._undo.entries
         previous = None
         if occurrence is None:
@@ -138,10 +153,13 @@ class SetStore:
             self._seq[member_rid] = self._next_seq
             self._owner_of[member_rid] = owner_rid
         occurrence.extend(member_rids)
-        if self.set_type.order_keys:
-            # _order_key ends in the arrival sequence, so one sort
+        if ordered:
+            # The sort key ends in the arrival sequence, so one sort
             # reproduces the incremental insert-after-equals order.
-            occurrence.sort(key=self._order_key)
+            keyed = sorted(zip(map(orderable, keys),
+                               map(self._seq.__getitem__, occurrence),
+                               occurrence))
+            occurrence[:] = [member_rid for *_key, member_rid in keyed]
         if log is not None:
             log.append((self._unconnect_many, owner_rid, tuple(member_rids),
                         previous))
@@ -153,7 +171,7 @@ class SetStore:
             return None
         seq = self._seq.pop(member_rid)
         occurrence = self._members[owner_rid]
-        position = occurrence.index(member_rid)
+        position = self._position(occurrence, member_rid)
         log = self._undo.entries
         emptied = None
         if len(occurrence) == 1:
@@ -239,12 +257,18 @@ class SetStore:
         return list(self._members.get(owner_rid, []))
 
     def first(self, owner_rid: int) -> int | None:
-        occurrence = self._members.get(owner_rid, [])
-        return occurrence[0] if occurrence else None
+        occurrence = self._members.get(owner_rid)
+        if not occurrence:
+            return None
+        self._last_position = 0
+        return occurrence[0]
 
     def last(self, owner_rid: int) -> int | None:
-        occurrence = self._members.get(owner_rid, [])
-        return occurrence[-1] if occurrence else None
+        occurrence = self._members.get(owner_rid)
+        if not occurrence:
+            return None
+        self._last_position = len(occurrence) - 1
+        return occurrence[-1]
 
     def next_after(self, member_rid: int) -> int | None:
         """The member after ``member_rid`` in its occurrence, if any."""
@@ -252,9 +276,10 @@ class SetStore:
         if owner_rid is None:
             return None
         occurrence = self._members.get(owner_rid, [])
-        index = occurrence.index(member_rid)
-        if index + 1 < len(occurrence):
-            return occurrence[index + 1]
+        position = self._position(occurrence, member_rid) + 1
+        if position < len(occurrence):
+            self._last_position = position
+            return occurrence[position]
         return None
 
     def prior_before(self, member_rid: int) -> int | None:
@@ -262,9 +287,10 @@ class SetStore:
         if owner_rid is None:
             return None
         occurrence = self._members.get(owner_rid, [])
-        index = occurrence.index(member_rid)
-        if index > 0:
-            return occurrence[index - 1]
+        position = self._position(occurrence, member_rid) - 1
+        if position >= 0:
+            self._last_position = position
+            return occurrence[position]
         return None
 
     def owners(self) -> list[int]:

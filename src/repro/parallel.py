@@ -163,6 +163,27 @@ class ParallelExecutionError(ReproError):
     """
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Run the body with the cyclic collector off, then restore the
+    collector's previous state, also when the body raises.
+
+    A worker decodes each chunk under it: unpickling a chunk allocates
+    hundreds of thousands of tracked objects, none of them garbage, and
+    with the collector on, each burst of allocations sets off a
+    collection that scans them all (E30: 19 chunks of 1,200 programs
+    parsed from text took 5.86-7.09 s to decode with the collector on,
+    1.49-1.60 s with it paused).
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
     """One long-lived worker process.
 
@@ -174,6 +195,8 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
     process), then serves ``begin`` / ``chunk`` / ``exit`` messages until told to
     stop.  ``begin`` brings the batch's pickled options, which convert
     its chunks and name the worker's shard (``options.checkpoint``).
+    Each chunk is decoded with the collector paused
+    (:func:`_collector_paused`).
     Each chunk result carries, besides the chunk's summaries, the
     worker's registry delta since ``begin``, the spans closed since the
     previous chunk, and the worker's clock base.  SIGINT is
@@ -229,7 +252,8 @@ def _pool_worker(worker_id: int, seed_blob: bytes, task_queue, result_queue):
         # ("chunk", chunk_id, programs_blob)
         _, chunk_id, programs_blob = message
         try:
-            programs: list[Program] = pickle.loads(programs_blob)
+            with _collector_paused():
+                programs: list[Program] = pickle.loads(programs_blob)
             chunk_summaries: list[dict] = []
             for program in programs:
                 with span("batch.program", program=program.name):

@@ -146,6 +146,9 @@ class Interpreter:
         # Substituted SEQUEL text -> parsed query, so a RelQuery inside
         # a loop parses once per distinct parameter binding.
         self._sequel_cache: dict[str, Any] = {}
+        # Record name -> field name -> its "RECORD.FIELD" variable, the
+        # names a GET binds, built once each.
+        self._field_keys: dict[str, dict[str, str]] = {}
         if session is not None:
             # A custom session (e.g. a DML emulation layer) that speaks
             # the DMLSession surface.
@@ -387,7 +390,8 @@ class Interpreter:
         return self.session
 
     def _after_net(self) -> None:
-        self.env["DB-STATUS"] = self._net().status
+        # Every caller has just gone through _net().
+        self.env["DB-STATUS"] = self.session.status
 
     def _exec_net_find_any(self, stmt: ast.NetFindAny) -> None:
         self._net().find_any(stmt.record, **self._pairs(stmt.using))
@@ -419,14 +423,22 @@ class Interpreter:
 
     def _exec_net_get(self, stmt: ast.NetGet) -> None:
         session = self._net()
-        if not session.current_matches(stmt.record):
+        record = session.current_of(stmt.record)
+        if record is None:
             self.env["DB-STATUS"] = "0306"
             return
-        values = session.get()
+        values = session.get(record)
         self._after_net()
         if values is not None:
+            keys = self._field_keys.get(stmt.record)
+            if keys is None:
+                keys = self._field_keys[stmt.record] = {}
+            env = self.env
             for name, value in values.items():
-                self.env[f"{stmt.record}.{name}"] = value
+                key = keys.get(name)
+                if key is None:
+                    key = keys[name] = f"{stmt.record}.{name}"
+                env[key] = value
 
     def _exec_net_store(self, stmt: ast.NetStore) -> None:
         self._net().store(stmt.record, self._pairs(stmt.values))

@@ -85,18 +85,27 @@ class RecordType:
     calc_keys: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        by_name: dict[str, Field] = {}
         for fld in self.fields:
-            if fld.name in seen:
+            if fld.name in by_name:
                 raise SchemaError(
                     f"record {self.name}: duplicate field {fld.name}"
                 )
-            seen.add(fld.name)
+            by_name[fld.name] = fld
         for key in self.calc_keys:
-            if key not in seen:
+            if key not in by_name:
                 raise SchemaError(
                     f"record {self.name}: CALC key {key} is not a field"
                 )
+        # Field by name, built once: field(), has_field() and
+        # validate_values() run once per field of every record read or
+        # written.  Not a dataclass field, so equality, hashing and
+        # repr still see only the declared ones.
+        object.__setattr__(self, "_by_name", by_name)
+
+    def __reduce__(self) -> tuple:
+        # Pickle the declared fields only; unpickling builds the map.
+        return (type(self), (self.name, self.fields, self.calc_keys))
 
     def field_names(self) -> list[str]:
         return [fld.name for fld in self.fields]
@@ -106,13 +115,13 @@ class RecordType:
         return [fld.name for fld in self.fields if not fld.is_virtual]
 
     def field(self, name: str) -> Field:
-        for fld in self.fields:
-            if fld.name == name:
-                return fld
-        raise UnknownField(f"record {self.name} has no field {name}")
+        fld = self._by_name.get(name)
+        if fld is None:
+            raise UnknownField(f"record {self.name} has no field {name}")
+        return fld
 
     def has_field(self, name: str) -> bool:
-        return any(fld.name == name for fld in self.fields)
+        return name in self._by_name
 
     def with_fields(self, fields: Iterable[Field]) -> "RecordType":
         return replace(self, fields=tuple(fields))
@@ -235,6 +244,12 @@ class Schema:
 
     def sets_with_member(self, record_name: str) -> list[SetType]:
         return [s for s in self.sets.values() if s.member == record_name]
+
+    def sets_of(self, record_name: str) -> list[SetType]:
+        """Set types ``record_name`` owns or belongs to, in schema
+        order."""
+        return [s for s in self.sets.values()
+                if record_name in (s.owner, s.member)]
 
     def system_sets(self) -> list[SetType]:
         return [s for s in self.sets.values() if s.system_owned]

@@ -97,6 +97,14 @@ class EmulatedDMLSession(DMLSession):
                 # The source program must still see the OLD member
                 # order: the emulator re-sorts each occurrence.
                 self._reordered[change.set_name] = change.old_keys
+        # GET presents *source* names: target record -> target field ->
+        # source field, and target record -> source record.
+        self._source_fields: dict[str, dict[str, str]] = {}
+        for (record_name, old), new in self._field_map.items():
+            self._source_fields.setdefault(self._rec(record_name), {})[new] = old
+        self._source_records: dict[str, str] = {}
+        for old, new in self._record_map.items():
+            self._source_records.setdefault(new, old)
         # UWA keyed by *source* record names.
         source_records = catalog.source_schema.records
         self.uwa = {name: {} for name in source_records}
@@ -123,10 +131,11 @@ class EmulatedDMLSession(DMLSession):
             for name, value in values.items()
         }
 
-    def current_matches(self, record_name: str) -> bool:
+    def current_of(self, record_name: str) -> Record | None:
         record = self.current_record()
-        return record is not None and \
-            record.type_name == self._rec(record_name)
+        if record is not None and record.type_name == self._rec(record_name):
+            return record
+        return None
 
     # -- emulated occurrence construction -------------------------------------
 
@@ -374,17 +383,15 @@ class EmulatedDMLSession(DMLSession):
             return self._miss(STATUS_NOT_FOUND)
         return self._ok(owner)
 
-    def get(self) -> dict[str, Any] | None:
+    def get(self, record: Record | None = None) -> dict[str, Any] | None:
         self.verbs.bump("get")
-        values = super().get()
+        if record is None:
+            record = self.current_record()
+        values = super().get(record)
         if values is None:
             return None
-        record = self.current_record()
         # Present *source* field names to the program.
-        reverse = {
-            new: old for (rec, old), new in self._field_map.items()
-            if self._rec(rec) == record.type_name
-        }
+        reverse = self._source_fields.get(record.type_name, {})
         renamed = {
             reverse.get(name, name): value for name, value in values.items()
         }
@@ -395,10 +402,7 @@ class EmulatedDMLSession(DMLSession):
         return renamed
 
     def _source_name(self, target_record: str) -> str:
-        for old, new in self._record_map.items():
-            if new == target_record:
-                return old
-        return target_record
+        return self._source_records.get(target_record, target_record)
 
     def store(self, record_name: str,
               values: dict[str, Any] | None = None) -> Record:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ExistenceViolation, MandatoryViolation
+from repro.errors import CurrencyError, ExistenceViolation, MandatoryViolation
 from repro.network import (
     DMLSession,
     NetworkDatabase,
@@ -12,6 +12,7 @@ from repro.network import (
     STATUS_OK,
 )
 from repro.schema import Insertion, Retention, Schema
+from repro.workloads import company
 
 
 @pytest.fixture
@@ -96,6 +97,63 @@ class TestSetNavigation:
         record = session.find_current("OWNER")
         assert record["KEY"] == "K1"
         assert session.currency.run_unit.record_name == "OWNER"
+
+
+class TestNavigationNamesTheMember:
+    """FIND FIRST, NEXT, PRIOR and LAST each name the set's member
+    record type.  Another record type is refused with the same
+    CurrencyError at the same point: once the set's currency is known,
+    before any set traversal or record read."""
+
+    @pytest.fixture
+    def positioned(self):
+        session = DMLSession(company.company_db(seed=1,
+                                                employees_per_division=3))
+        session.find_any("DIV", **{"DIV-NAME": "MACHINERY"})
+        session.find_first("EMP", "DIV-EMP")
+        return session
+
+    @pytest.mark.parametrize("verb", ["find_first", "find_next",
+                                      "find_prior", "find_last"])
+    def test_a_record_type_that_is_not_the_member_is_refused(
+            self, positioned, verb):
+        metrics = positioned.db.metrics
+        before = metrics.snapshot()
+        current = positioned.currency.run_unit
+        with pytest.raises(CurrencyError,
+                           match="^DIV is not the member of set DIV-EMP$"):
+            getattr(positioned, verb)("DIV", "DIV-EMP")
+        after = metrics.snapshot()
+        assert {name: after[name] - before[name] for name in after
+                if after[name] != before[name]} == {"dml_calls": 1}
+        assert positioned.currency.run_unit == current
+
+    def test_a_valid_scan_keeps_its_trace_and_counts(self):
+        """Forwards with GET, then backwards: the counts were pinned
+        before NEXT, PRIOR and LAST checked the record type."""
+        db = company.company_db(seed=1, employees_per_division=3)
+        session = DMLSession(db)
+        before = db.metrics.snapshot()
+        session.find_any("DIV", **{"DIV-NAME": "MACHINERY"})
+        forwards = []
+        record = session.find_first("EMP", "DIV-EMP")
+        while record is not None:
+            forwards.append(session.get()["EMP-NAME"])
+            record = session.find_next("EMP", "DIV-EMP")
+        backwards = []
+        record = session.find_last("EMP", "DIV-EMP")
+        while record is not None:
+            backwards.append(record["EMP-NAME"])
+            record = session.find_prior("EMP", "DIV-EMP")
+        after = db.metrics.snapshot()
+        assert forwards == ["KING-0002", "ROBERTS-0001", "TURNER-0000"]
+        assert backwards == forwards[::-1]
+        assert session.status == STATUS_END_OF_SET
+        assert {name: after[name] - before[name] for name in after
+                if after[name] != before[name]} == {
+            "records_read": 13, "index_probes": 1, "set_traversals": 11,
+            "dml_calls": 12,
+        }
 
 
 class TestGetStoreModifyErase:

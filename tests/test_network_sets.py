@@ -112,6 +112,49 @@ class TestSetStore:
         assert store.prior_before(children[1].rid) == children[0].rid
         assert store.prior_before(children[0].rid) is None
 
+    def test_a_scan_searches_its_occurrence_at_most_once(self, db):
+        """Each step of a forward or backward scan finds its member
+        where the previous step left it: O(1), not a search of the
+        occurrence (which made a scan O(n**2))."""
+        parent = _p(db, "A")
+        store = db.set_store("CHAINED")
+        children = [_c(db, v).rid for v in range(40)]
+        store.connect_many(parent.rid, children)
+        occurrence = store._members[parent.rid] = _SearchCounting(
+            store._members[parent.rid])
+        forwards = [store.first(parent.rid)]
+        while (following := store.next_after(forwards[-1])) is not None:
+            forwards.append(following)
+        backwards = [store.last(parent.rid)]
+        while (preceding := store.prior_before(backwards[-1])) is not None:
+            backwards.append(preceding)
+        assert forwards == children
+        assert backwards == children[::-1]
+        assert occurrence.searches == 0
+        # From a member no scan left it at, navigation searches once.
+        assert store.next_after(children[7]) == children[8]
+        assert occurrence.searches == 1
+
+    def test_navigation_after_a_rollback_rewrote_the_occurrence(self, db):
+        """A rollback rewrites an occurrence in place, so the position
+        the last scan step left is stale: navigation must notice."""
+        parent = _p(db, "A")
+        store = db.set_store("SORTED")
+        kept = [_c(db, v).rid for v in (10, 20, 30, 40)]
+        store.connect_many(parent.rid, kept)
+        savepoint = db.savepoint()
+        store.connect_many(parent.rid, [_c(db, v).rid for v in (1, 2)])
+        rid = store.first(parent.rid)
+        for _ in range(2):
+            rid = store.next_after(rid)
+        assert rid == kept[0]  # third of six: position 2
+        db.rollback(savepoint)
+        assert store.members(parent.rid) == kept  # kept[0] at position 0
+        assert store.next_after(kept[0]) == kept[1]
+        assert store.prior_before(kept[0]) is None
+        assert store.disconnect(kept[0]) == parent.rid
+        assert store.members(parent.rid) == kept[1:]
+
     def test_reposition_after_key_change(self, db):
         parent = _p(db, "A")
         store = db.set_store("SORTED")
@@ -138,7 +181,31 @@ class TestSetStore:
         assert store.members(SYSTEM_OWNER_RID) == [parent.rid]
 
 
+class _SearchCounting(list):
+    """An occurrence list that counts its linear searches."""
+
+    searches = 0
+
+    def index(self, *args):
+        self.searches += 1
+        return super().index(*args)
+
+
 class TestCurrency:
+    def test_a_database_notes_the_same_sets_as_its_schema(self, db):
+        """The DML session passes its database, which looks up the sets
+        each record type owns or belongs to instead of searching."""
+        for record_name in ("P", "C"):
+            by_schema, by_database = CurrencyTable(), CurrencyTable()
+            by_schema.note(db.schema, record_name, 3,
+                           retain_sets=frozenset({"SORTED"}))
+            by_database.note(db, record_name, 3,
+                             retain_sets=frozenset({"SORTED"}))
+            assert by_database == by_schema
+            assert list(by_database.sets) == list(by_schema.sets)
+            assert db.sets_of(record_name) == tuple(
+                db.schema.sets_of(record_name))
+
     def test_note_updates_all_indicators(self, db):
         table = CurrencyTable()
         table.note(db.schema, "C", 7)

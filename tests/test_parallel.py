@@ -17,6 +17,7 @@ import multiprocessing
 import pickle
 import signal
 import time
+from contextlib import nullcontext
 
 import pytest
 
@@ -42,6 +43,7 @@ from repro.parallel import (
     DRAIN_SECONDS,
     ParallelExecutor,
     WorkerPool,
+    _collector_paused,
     run_parallel_batch,
 )
 from repro.programs.interpreter import ProgramInputs
@@ -82,6 +84,29 @@ OPTIONS = ConversionOptions(inputs=ProgramInputs(terminal=["STORE"]),
 
 def summaries(batch):
     return [report.to_summary() for report in batch.reports]
+
+
+class TestCollectorPaused:
+    """A worker decodes each chunk with the cyclic collector paused,
+    and leaves it as it found it."""
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_the_previous_state_comes_back(self, collector, enabled,
+                                           raises):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(ValueError) if raises else nullcontext():
+            with _collector_paused():
+                assert not gc.isenabled()
+                if raises:
+                    raise ValueError("decode failed")
+        assert gc.isenabled() is enabled
 
 
 class TestParallelMatchesSerial:

@@ -151,10 +151,29 @@ def has_owners_and_items(self):
     return len(self.db.store("OWNER")) and len(self.db.store("ITEM"))
 
 
+def walk(start, step, size):
+    """The members a scan visits from ``start`` until ``step`` says
+    there is none, or one past ``size`` (a broken step can cycle)."""
+    visited = []
+    while start is not None and len(visited) <= size:
+        visited.append(start)
+        start = step(start)
+    return visited
+
+
 class NetworkMachine(SavepointMachine):
     """STORE, MODIFY, CONNECT, DISCONNECT, ERASE and ERASE ALL on a
     two-record CODASYL database with sorted, chained, MANDATORY and
-    SYSTEM sets and CALC keys that repeat."""
+    SYSTEM sets and CALC keys that repeat.
+
+    Set navigation remembers where its last step left off, and a
+    rollback rewrites occurrences in place: a scan stopped partway
+    (:meth:`scan_partway`) is resumed after whatever the next rule did,
+    and must still find its member's true neighbours."""
+
+    #: Where the last partway scan stopped: (set name, member rid,
+    #: scanning forwards).
+    cursor = None
 
     @initialize(keys=st.lists(KEYS, min_size=1, max_size=4),
                 items=st.lists(st.tuples(SMALL, KEYS), max_size=8))
@@ -250,6 +269,77 @@ class NetworkMachine(SavepointMachine):
     def modify_owner(self, data, key):
         self.db.update_record("OWNER", self.rid(data, "OWNER"),
                               {"KEY": key})
+
+    @rule(data=st.data(),
+          set_name=st.sampled_from(["ALL-OWNER", "TAGGED", "HOLDS"]),
+          forward=st.booleans())
+    def scan_partway(self, data, set_name, forward):
+        store = self.db.set_store(set_name)
+        owners = store.owners()
+        if not owners:
+            return
+        owner = data.draw(st.sampled_from(owners), label="owner")
+        members = store.members(owner)
+        steps = data.draw(st.integers(0, len(members) - 1), label="steps")
+        if forward:
+            rid, step = store.first(owner), store.next_after
+        else:
+            rid, step = store.last(owner), store.prior_before
+            members.reverse()
+        for _ in range(steps):
+            rid = step(rid)
+        assert rid == members[steps]
+        self.cursor = (set_name, rid, forward)
+
+    @invariant()
+    def navigation_walks_the_members(self):
+        """Resumed from the cursor, a scan finds the member's current
+        neighbours; and for every set and owner, first -> next_after
+        and last -> prior_before walk ``members()`` forwards and
+        backwards.  Then the scan is left at the cursor again."""
+        db = getattr(self, "db", None)
+        if db is None:
+            return
+        cursor = self.cursor
+        if cursor is not None:
+            set_name, rid, forward = cursor
+            store = db.set_store(set_name)
+            owner = store.owner(rid)
+            if owner is None:
+                self.cursor = cursor = None
+            else:
+                members = store.members(owner)
+                at = members.index(rid)
+                following = members[at + 1] if at + 1 < len(members) else None
+                preceding = members[at - 1] if at else None
+                if forward:
+                    assert store.next_after(rid) == following
+                else:
+                    assert store.prior_before(rid) == preceding
+        for set_name in db.schema.sets:
+            store = db.set_store(set_name)
+            for owner in store.owners():
+                members = store.members(owner)
+                size = len(members)
+                assert walk(store.first(owner), store.next_after,
+                            size) == members
+                assert walk(store.last(owner), store.prior_before,
+                            size) == members[::-1]
+        if cursor is not None:
+            # Scan to the cursor again, so the next rule meets the
+            # position the scan left.
+            set_name, rid, forward = cursor
+            store = db.set_store(set_name)
+            owner = store.owner(rid)
+            members = store.members(owner)
+            if forward:
+                start, step = store.first(owner), store.next_after
+            else:
+                start, step = store.last(owner), store.prior_before
+                members.reverse()
+            for _ in range(members.index(rid)):
+                start = step(start)
+            assert start == rid
 
     @rule(data=st.data(), record_name=st.sampled_from(["OWNER", "ITEM"]),
           all_members=st.booleans())
